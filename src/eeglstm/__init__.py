@@ -28,18 +28,11 @@ from .harness import (
 from .layers import (
     DenseParams,
     LstmLayerParams,
-    LstmState,
     Model,
     ModelConfig,
-    RnnLayerParams,
-    dense_sigmoid_forward,
     dropout_forward,
     init_params,
-    lstm_cell_forward,
-    lstm_sequence_forward,
     param_count,
-    rnn_cell_forward,
-    rnn_output,
 )
 from .metrics import MetricsReport, confusion_report, roc_auc
 from .optim import AdamState, TrainConfig, adam_step, bce_loss
@@ -52,19 +45,16 @@ __all__ = [
     "FoldSplit",
     "LabeledSequence",
     "LstmLayerParams",
-    "LstmState",
     "MetricsReport",
     "Model",
     "ModelConfig",
     "PairDataset",
     "RecordingSet",
-    "RnnLayerParams",
     "ToneSpec",
     "TrainConfig",
     "adam_step",
     "bce_loss",
     "confusion_report",
-    "dense_sigmoid_forward",
     "dropout_forward",
     "evaluate",
     "gen_synthetic",
@@ -72,12 +62,8 @@ __all__ = [
     "kfold_split",
     "load_bonn_set",
     "load_checkpoint",
-    "lstm_cell_forward",
-    "lstm_sequence_forward",
     "make_pair_dataset",
     "param_count",
-    "rnn_cell_forward",
-    "rnn_output",
     "roc_auc",
     "run_experiment",
     "run_reproduction",

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .layers import Model, ModelConfig, init_params
+from .layers import Model, ModelConfig
 
 FORMAT_VERSION = 1
 
@@ -85,7 +85,7 @@ def load_checkpoint(path, expect_variant: int | None = None):
     except ValueError as exc:
         raise CheckpointError(f"invalid model config in checkpoint: {exc}") from exc
 
-    model = init_params(config, seed=0)
+    model = Model(config)
     stored = _require(doc, "params")
     for name, arr in zip(model.param_names(), model.param_arrays()):
         if name not in stored:

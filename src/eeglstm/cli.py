@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -18,7 +19,7 @@ from . import data as datamod
 from . import gradcheck as gc
 from . import harness
 from .errors import EegLstmError
-from .layers import CANONICAL_SEQ_LEN
+from .layers import Model, ModelConfig
 from .optim import TrainConfig
 
 SYNTH_KEYS = ("f0", "f1", "amp", "noise", "rate", "n")
@@ -32,21 +33,21 @@ def _parse_pair(text: str, parser):
     return parts[0], parts[1]
 
 
-def _parse_synth_spec(text: str, parser) -> dict:
+def _parse_synth_spec(text: str, parser, flag: str = "--synthetic") -> dict:
     spec = dict(SYNTH_DEFAULTS)
     if text == "default":
         return spec
     for item in text.split(","):
         if "=" not in item:
-            parser.error(f"--synthetic entries must be key=value, got {item!r}")
+            parser.error(f"{flag} entries must be key=value, got {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
         if key not in SYNTH_KEYS:
-            parser.error(f"unknown synthetic key {key!r}, expected one of {', '.join(SYNTH_KEYS)}")
+            parser.error(f"{flag}: unknown synthetic key {key!r}, expected one of {', '.join(SYNTH_KEYS)}")
         try:
-            spec[key] = int(value) if key == "n" else float(value)
-        except ValueError:
-            parser.error(f"bad value for synthetic key {key!r}: {value!r}")
+            spec[key] = _synth_n(value) if key == "n" else float(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"{flag}: bad value for synthetic key {key!r}: {exc}")
     return spec
 
 
@@ -86,7 +87,7 @@ def _resolve_dataset(args, parser):
         if not args.pair:
             parser.error("--data requires --pair X,Y")
         pair = _parse_pair(args.pair, parser)
-        seq_len = args.seq_len or CANONICAL_SEQ_LEN
+        seq_len = args.seq_len or datamod.BONN_SEQ_LEN
         first = datamod.load_bonn_set(args.data, pair[0], expected_len=seq_len)
         second = datamod.load_bonn_set(args.data, pair[1], expected_len=seq_len)
         dataset = datamod.make_pair_dataset(first, second)
@@ -146,11 +147,8 @@ def cmd_train(args, parser) -> int:
 
 
 def _model_from_fold(result, fold):
-    from .layers import ModelConfig, init_params
-
-    config = ModelConfig(variant=result.variant, seq_len=result.seq_len)
-    model = init_params(config, 0)
-    model.set_flat_params(fold.best_params)
+    model = Model(ModelConfig(variant=result.variant, seq_len=result.seq_len))
+    model.params[...] = fold.best_params
     return model
 
 
@@ -189,7 +187,7 @@ def cmd_evaluate(args, parser) -> int:
 
 def cmd_reproduce(args, parser) -> int:
     tcfg = _train_config(args)
-    seq_len = args.seq_len or CANONICAL_SEQ_LEN
+    seq_len = args.seq_len or datamod.BONN_SEQ_LEN
     _print_config(
         "reproduce",
         {
@@ -227,7 +225,7 @@ def cmd_reproduce(args, parser) -> int:
 
 
 def cmd_gen_synth(args, parser) -> int:
-    spec = _parse_synth_spec(args.spec, parser)
+    spec = _parse_synth_spec(args.spec, parser, flag="--spec")
     seq_len = args.seq_len or datamod.DEFAULT_SYNTH_SEQ_LEN
     set_names = _parse_pair(args.sets, parser)
     _print_config(
@@ -288,21 +286,34 @@ def _add_data_flags(sub, with_pair: bool = True) -> None:
     sub.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _bounded(cast, accept, requirement: str):
+    """Argument type: cast the text, then reject values outside the bound."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names the cast in "invalid int value"
+    return parse
+
+
+_nonneg_int = _bounded(int, lambda v: v >= 0, "non-negative")
+_pos_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+_pos_float = _bounded(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+# The folds split each class 70/20/10, so n must be a positive multiple of 10.
+_synth_n = _bounded(int, lambda v: v >= 1 and v % 10 == 0, "a positive multiple of 10")
 
 
 def _add_train_flags(sub) -> None:
     sub.add_argument("--model", type=int, choices=(1, 2), default=1, help="architecture variant (default 1)")
-    sub.add_argument("--folds", type=int, default=10, help="number of folds (default 10)")
-    sub.add_argument("--epochs", type=int, default=20, help="training epochs per fold (default 20)")
-    sub.add_argument("--batch", type=int, default=4, help="mini-batch size (default 4)")
-    sub.add_argument("--lr", type=float, default=1e-3, help="learning rate (default 1e-3)")
+    sub.add_argument("--folds", type=_pos_int, default=10, help="number of folds (default 10)")
+    sub.add_argument("--epochs", type=_nonneg_int, default=20, help="training epochs per fold (default 20)")
+    sub.add_argument("--batch", type=_pos_int, default=4, help="mini-batch size (default 4)")
+    sub.add_argument("--lr", type=_pos_float, default=1e-3, help="learning rate (default 1e-3)")
     sub.add_argument("--standardize", action="store_true", help="per-sequence standardization (recorded in artifacts)")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel fold workers (default 1)")
+    sub.add_argument("--jobs", type=_pos_int, default=1, help="parallel fold workers (default 1)")
     sub.add_argument("--out", default="runs", help="output directory (default ./runs)")
 
 

@@ -73,8 +73,8 @@ class PairDataset:
     def values(self) -> np.ndarray:
         return np.stack([s.values for s in self.samples])
 
-    def subset(self, indices):
-        return [self.samples[int(i)] for i in indices]
+    def subset(self, indices) -> "PairDataset":
+        return replace(self, samples=tuple(self.samples[int(i)] for i in indices))
 
 
 @dataclass(frozen=True)
@@ -202,10 +202,7 @@ class ToneSpec:
             raise ValueError(f"frequency and noise_sd must be non-negative: {self}")
 
 
-# Desk-scale default: well separated tones, mild noise, two seconds at 64 Hz.
-DEFAULT_CLASS0 = ToneSpec(freq_hz=2.0, amplitude=1.0, noise_sd=0.1)
-DEFAULT_CLASS1 = ToneSpec(freq_hz=10.0, amplitude=1.0, noise_sd=0.1)
-DEFAULT_SAMPLE_RATE_HZ = 64.0
+# Desk-scale default length: two seconds at the CLI's default 64 Hz rate.
 DEFAULT_SYNTH_SEQ_LEN = 128
 
 

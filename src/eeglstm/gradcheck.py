@@ -49,19 +49,20 @@ def _mean_loss(model: Model, x, y) -> float:
 
 
 def numeric_gradient(model: Model, x, y, eps: float = FD_EPS) -> np.ndarray:
-    """Central finite differences of the mean BCE loss over all parameters."""
-    base = model.get_flat_params()
-    grad = np.empty_like(base)
-    for i in range(base.size):
-        theta = base.copy()
-        theta[i] = base[i] + eps
-        model.set_flat_params(theta)
+    """Central finite differences of the mean BCE loss over all parameters.
+
+    Perturbs model.params one entry at a time, in place, and restores it.
+    """
+    params = model.params
+    grad = np.empty_like(params)
+    for i in range(params.size):
+        base = params[i]
+        params[i] = base + eps
         f_plus = _mean_loss(model, x, y)
-        theta[i] = base[i] - eps
-        model.set_flat_params(theta)
+        params[i] = base - eps
         f_minus = _mean_loss(model, x, y)
+        params[i] = base
         grad[i] = (f_plus - f_minus) / (2.0 * eps)
-    model.set_flat_params(base)
     return grad
 
 

@@ -9,8 +9,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
-from .errors import ShapeError
+from .data import BONN_SEQ_LEN, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
+from .errors import EegLstmError, ShapeError
 from .layers import Model, ModelConfig, flatten_arrays, init_params
 from .metrics import MetricsReport, confusion_report
 from .optim import AdamState, TrainConfig, adam_step, bce_loss
@@ -83,24 +83,15 @@ class ExperimentResult:
     aggregate: dict
 
 
-def _stack(samples):
-    if isinstance(samples, PairDataset):
-        return samples.values(), samples.labels()
-    x = np.stack([s.values for s in samples])
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
-
-
-def evaluate(model: Model, samples, threshold: float = DECISION_THRESHOLD):
-    """Score samples in eval mode and derive metrics at the threshold.
+def evaluate(model: Model, data: PairDataset, threshold: float = DECISION_THRESHOLD):
+    """Score a dataset in eval mode and derive metrics at the threshold.
 
     Returns (MetricsReport, raw scores).
     """
-    x, y = _stack(samples)
-    if x.shape[1] != model.config.seq_len:
-        raise ShapeError(f"samples have length {x.shape[1]}, model expects {model.config.seq_len}")
-    scores = model.scores(x)
-    return confusion_report(scores, y, threshold), scores
+    if data.seq_len != model.config.seq_len:
+        raise ShapeError(f"samples have length {data.seq_len}, model expects {model.config.seq_len}")
+    scores = model.scores(data.values())
+    return confusion_report(scores, data.labels(), threshold), scores
 
 
 def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset) -> TrainOutcome:
@@ -112,9 +103,10 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     batch allowed, gradient = mean over the batch), applies one Adam step
     per batch, then records validation loss/accuracy. The parameter snapshot
     with the highest validation accuracy is retained (ties keep the earliest
-    epoch).
+    epoch). A non-finite batch or validation loss stops training with an
+    EegLstmError.
     """
-    x_all, y_all = _stack(data)
+    x_all, y_all = data.values(), data.labels()
     for name, idx in (("train", split.train), ("val", split.val)):
         if len(idx) == 0:
             raise ValueError(f"{name} split is empty")
@@ -127,7 +119,7 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     model = init_params(config, init_seed)
     rng = np.random.default_rng(stream_seed)
     adam = AdamState.zeros(model.num_params)
-    best = BestSnapshot(epoch=None, val_accuracy=None, flat_params=model.get_flat_params())
+    best = BestSnapshot(epoch=None, val_accuracy=None, flat_params=model.params.copy())
     curves = []
 
     train_idx = np.asarray(split.train)
@@ -136,22 +128,28 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     for epoch in range(1, tcfg.epochs + 1):
         order = train_idx[rng.permutation(train_idx.size)]
         loss_sum = 0.0
-        for start in range(0, order.size, tcfg.batch_size):
+        for n, start in enumerate(range(0, order.size, tcfg.batch_size), start=1):
             batch = order[start : start + tcfg.batch_size]
             probs, cache = model.forward(x_all[batch], train=True, rng=rng)
             losses, dloss = bce_loss(probs, y_all[batch].astype(np.float64))
+            batch_loss = float(losses.sum())
+            if not np.isfinite(batch_loss):
+                raise EegLstmError(
+                    f"fold {split.fold_index}: non-finite training loss at epoch {epoch}, batch {n}"
+                )
             grads = model.backward(cache, dloss / batch.size)
-            flat, adam = adam_step(model.get_flat_params(), flatten_arrays(grads), adam, tcfg)
-            model.set_flat_params(flat)
-            loss_sum += float(losses.sum())
+            new_params, adam = adam_step(model.params, flatten_arrays(grads), adam, tcfg)
+            model.params[...] = new_params
+            loss_sum += batch_loss
         val_scores = model.scores(x_all[val_idx])
         val_losses, _ = bce_loss(val_scores, y_all[val_idx].astype(np.float64))
+        val_loss = float(val_losses.mean())
+        if not np.isfinite(val_loss):
+            raise EegLstmError(f"fold {split.fold_index}: non-finite validation loss at epoch {epoch}")
         val_acc = float(np.mean((val_scores >= DECISION_THRESHOLD) == y_val))
-        curves.append(
-            EpochRecord(epoch, loss_sum / order.size, float(val_losses.mean()), val_acc)
-        )
+        curves.append(EpochRecord(epoch, loss_sum / order.size, val_loss, val_acc))
         if best.val_accuracy is None or val_acc > best.val_accuracy:
-            best = BestSnapshot(epoch=epoch, val_accuracy=val_acc, flat_params=model.get_flat_params())
+            best = BestSnapshot(epoch=epoch, val_accuracy=val_acc, flat_params=model.params.copy())
     return TrainOutcome(model=model, curves=curves, best=best)
 
 
@@ -164,7 +162,7 @@ def _run_fold(payload):
     config, tcfg, split, data = payload
     outcome = train_model(config, tcfg, split, data)
     model = outcome.model
-    model.set_flat_params(outcome.best.flat_params)
+    model.params[...] = outcome.best.flat_params
     val_report, _ = evaluate(model, data.subset(split.val))
     test_report, _ = evaluate(model, data.subset(split.test))
     result = FoldResult(
@@ -255,7 +253,7 @@ def run_reproduction(
     k: int,
     seed: int,
     tcfg: TrainConfig,
-    seq_len: int = 4097,
+    seq_len: int = BONN_SEQ_LEN,
     standardize: bool = False,
     jobs: int = 1,
     progress=None,

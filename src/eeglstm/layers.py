@@ -3,13 +3,10 @@ backward passes (backpropagation through time).
 
 LSTM gate weights are stored stacked: one matrix product per time step
 computes every gate pre-activation. Column blocks are ordered input, forget,
-cell candidate, output; per-gate views are available through
-``input_weights``/``recurrent_weights``/``gate_bias`` for inspection.
+cell candidate, output; ``gate_bias`` gives the per-gate view of a bias.
 
-Shapes follow the batched convention (batch, time, features). The
-single-sample functions (`lstm_cell_forward`, `lstm_sequence_forward`, the
-RNN cell, `dense_sigmoid_forward`) wrap the same code paths, so a length-1
-sequence is bitwise identical to one cell step.
+Shapes follow the batched convention (batch, time, features). A Model holds
+every parameter in one float64 vector, and each weight block is a view of it.
 """
 
 from __future__ import annotations
@@ -19,17 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import BONN_SEQ_LEN
 from .errors import ShapeError
-from .tensor import matvec, sigmoid, tanh
 
 GATE_NAMES = ("i", "f", "c", "o")
-
-# Canonical Bonn recording length (one value per line, 4097 lines per file).
-CANONICAL_SEQ_LEN = 4097
 
 MODEL1_HIDDEN = (64,)
 MODEL2_HIDDEN = (128, 64)
 MODEL2_DROPOUT = 0.35
+
+
+def sigmoid(x) -> np.ndarray:
+    """Logistic function 1/(1+e^-x), computed so large |x| never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _gate_slice(gate: str, hidden: int) -> slice:
@@ -69,30 +69,9 @@ class LstmLayerParams:
     def hidden_dim(self) -> int:
         return self.recurrent.shape[0]
 
-    def input_weights(self, gate: str) -> np.ndarray:
-        """View of the (input_dim, hidden) input weights for gate i/f/c/o."""
-        return self.kernel[:, _gate_slice(gate, self.hidden_dim)]
-
-    def recurrent_weights(self, gate: str) -> np.ndarray:
-        return self.recurrent[:, _gate_slice(gate, self.hidden_dim)]
-
     def gate_bias(self, gate: str) -> np.ndarray:
+        """View of the (hidden,) bias of gate i/f/c/o."""
         return self.bias[_gate_slice(gate, self.hidden_dim)]
-
-    def param_count(self) -> int:
-        return self.kernel.size + self.recurrent.size + self.bias.size
-
-
-@dataclass
-class LstmState:
-    """Hidden and cell state of one LSTM layer for a single sample."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden: int) -> "LstmState":
-        return cls(np.zeros(hidden), np.zeros(hidden))
 
 
 @dataclass
@@ -157,10 +136,10 @@ def lstm_forward(x, params: LstmLayerParams, h0=None, c0=None) -> LstmLayerCache
         z = xw[:, t] + h_prev @ params.recurrent + params.bias
         it = sigmoid(z[:, sl_i])
         ft = sigmoid(z[:, sl_f])
-        gt = tanh(z[:, sl_c])
+        gt = np.tanh(z[:, sl_c])
         ot = sigmoid(z[:, sl_o])
         ct = ft * c_prev + it * gt
-        tct = tanh(ct)
+        tct = np.tanh(ct)
         ht = ot * tct
         gi[:, t], gf[:, t], gc[:, t], go[:, t] = it, ft, gt, ot
         cs[:, t], tc[:, t], hs[:, t] = ct, tct, ht
@@ -212,83 +191,6 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     return dx, (dkernel, drecurrent, dbias)
 
 
-def lstm_cell_forward(x_t, prev: LstmState, params: LstmLayerParams):
-    """One LSTM step for a single sample.
-
-    x_t: (input_dim,) input at this step. Returns (next_state, cache); the
-    cache holds the gate activations needed by the backward pass.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.ndim != 1 or x_t.shape[0] != params.input_dim:
-        raise ShapeError(f"x_t must be ({params.input_dim},), got {x_t.shape}")
-    if prev.h.shape != (params.hidden_dim,) or prev.c.shape != (params.hidden_dim,):
-        raise ShapeError(f"state must be ({params.hidden_dim},), got {prev.h.shape}, {prev.c.shape}")
-    cache = lstm_forward(x_t[None, None, :], params, h0=prev.h[None, :], c0=prev.c[None, :])
-    nxt = LstmState(cache.h[0, 0].copy(), cache.c[0, 0].copy())
-    return nxt, cache
-
-
-def lstm_sequence_forward(seq, params: LstmLayerParams, mode: str = "last_output") -> np.ndarray:
-    """Run one sequence through an LSTM layer from a zero initial state.
-
-    seq: (time,) scalars for input_dim 1, or (time, input_dim). Returns the
-    final hidden state (mode "last_output") or all hidden states stacked as
-    (time, hidden) (mode "full_sequence").
-    """
-    if mode not in ("last_output", "full_sequence"):
-        raise ValueError(f"unknown mode {mode!r}")
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim == 1:
-        seq = seq[:, None]
-    if seq.ndim != 2:
-        raise ShapeError(f"sequence must be 1-D or 2-D, got shape {seq.shape}")
-    if seq.shape[0] < 1:
-        raise ValueError("empty sequence")
-    cache = lstm_forward(seq[None, :, :], params)
-    if mode == "last_output":
-        return cache.h[0, -1].copy()
-    return cache.h[0].copy()
-
-
-@dataclass
-class RnnLayerParams:
-    """Weights of the plain recurrent baseline cell.
-
-    transition: (h, h) applied to the previous hidden state
-    input_w: (h, d) applied to the current input
-    output_w: (out, h) read-out matrix
-    bias: (h,)
-    """
-
-    transition: np.ndarray
-    input_w: np.ndarray
-    output_w: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        h = self.transition.shape[0]
-        if self.transition.shape != (h, h) or self.input_w.shape[0] != h:
-            raise ShapeError(
-                f"inconsistent RNN shapes: transition {self.transition.shape}, input {self.input_w.shape}"
-            )
-        if self.output_w.ndim != 2 or self.output_w.shape[1] != h or self.bias.shape != (h,):
-            raise ShapeError(
-                f"inconsistent RNN shapes: output {self.output_w.shape}, bias {self.bias.shape}"
-            )
-
-
-def rnn_cell_forward(x_t, h_prev, params: RnnLayerParams) -> np.ndarray:
-    """h_t = tanh(W h_prev + U x_t + b)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    return tanh(matvec(params.transition, h_prev) + matvec(params.input_w, x_t) + params.bias)
-
-
-def rnn_output(h_t, output_w) -> np.ndarray:
-    """y_t = sigmoid(V h_t)."""
-    return sigmoid(matvec(output_w, np.asarray(h_t, dtype=np.float64)))
-
-
 @dataclass
 class DenseParams:
     """Single-unit read-out layer: weights (h,), scalar bias stored 0-d."""
@@ -301,17 +203,6 @@ class DenseParams:
             raise ShapeError(
                 f"dense params must be (h,) weights and a scalar bias, got {self.weights.shape}, {self.bias.shape}"
             )
-
-    def param_count(self) -> int:
-        return self.weights.size + 1
-
-
-def dense_sigmoid_forward(h, params: DenseParams) -> float:
-    """Probability sigmoid(w . h + b) for one hidden vector."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != params.weights.shape:
-        raise ShapeError(f"hidden vector {h.shape} != dense weights {params.weights.shape}")
-    return float(sigmoid(h @ params.weights + params.bias))
 
 
 def dropout_forward(values, p: float, rng=None, train: bool = False):
@@ -343,7 +234,7 @@ class ModelConfig:
     """
 
     variant: int
-    seq_len: int = CANONICAL_SEQ_LEN
+    seq_len: int = BONN_SEQ_LEN
     hidden_sizes: tuple = ()
     dropout_prob: float | None = None
     input_dim: int = 1
@@ -398,14 +289,6 @@ def _orthogonal(rng, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _init_lstm_layer(rng, input_dim: int, hidden: int) -> LstmLayerParams:
-    kernel = _glorot_uniform(rng, (input_dim, 4 * hidden))
-    recurrent = np.concatenate([_orthogonal(rng, hidden) for _ in GATE_NAMES], axis=1)
-    bias = np.zeros(4 * hidden)
-    bias[_gate_slice("f", hidden)] = 1.0
-    return LstmLayerParams(kernel, recurrent, bias)
-
-
 def init_params(config: ModelConfig, seed: int) -> "Model":
     """Deterministically initialize a model.
 
@@ -415,13 +298,15 @@ def init_params(config: ModelConfig, seed: int) -> "Model":
     the forget-gate block, which is one.
     """
     rng = np.random.default_rng(int(seed))
-    lstm_layers = []
-    d = config.input_dim
-    for h in config.hidden_sizes:
-        lstm_layers.append(_init_lstm_layer(rng, d, h))
-        d = h
-    dense = DenseParams(_glorot_uniform(rng, (d, 1))[:, 0], np.zeros(()))
-    return Model(config, lstm_layers, dense)
+    model = Model(config)
+    for layer in model.lstm_layers:
+        h = layer.hidden_dim
+        layer.kernel[...] = _glorot_uniform(rng, layer.kernel.shape)
+        for gate in GATE_NAMES:
+            layer.recurrent[:, _gate_slice(gate, h)] = _orthogonal(rng, h)
+        layer.gate_bias("f")[...] = 1.0
+    model.dense.weights[...] = _glorot_uniform(rng, (model.dense.weights.size, 1))[:, 0]
+    return model
 
 
 @dataclass
@@ -440,25 +325,28 @@ class Model:
     The first layer consumes the raw sequence; in the stacked variant its
     full hidden sequence (after dropout) feeds the second layer. The
     read-out always sees the final layer's last hidden state.
+
+    `params` is the only parameter storage: one float64 vector, zero at
+    construction, of which every block in param_arrays() is a view, in
+    param_names() order. Writing either side changes the other.
     """
 
-    def __init__(self, config: ModelConfig, lstm_layers, dense: DenseParams):
-        if len(lstm_layers) != len(config.hidden_sizes):
-            raise ShapeError(
-                f"expected {len(config.hidden_sizes)} LSTM layer(s), got {len(lstm_layers)}"
-            )
-        d = config.input_dim
-        for layer, h in zip(lstm_layers, config.hidden_sizes):
-            if layer.input_dim != d or layer.hidden_dim != h:
-                raise ShapeError(
-                    f"layer dims ({layer.input_dim}, {layer.hidden_dim}) do not match config ({d}, {h})"
-                )
-            d = h
-        if dense.weights.shape != (d,):
-            raise ShapeError(f"dense weights must be ({d},), got {dense.weights.shape}")
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self.lstm_layers = list(lstm_layers)
-        self.dense = dense
+        self.params = np.zeros(param_count(config)[0])
+        end = 0
+
+        def view(*shape):
+            nonlocal end
+            start, end = end, end + math.prod(shape)
+            return self.params[start:end].reshape(shape)
+
+        self.lstm_layers = []
+        d = config.input_dim
+        for h in config.hidden_sizes:
+            self.lstm_layers.append(LstmLayerParams(view(d, 4 * h), view(h, 4 * h), view(4 * h)))
+            d = h
+        self.dense = DenseParams(view(d), view())
 
     def param_names(self):
         names = []
@@ -474,19 +362,7 @@ class Model:
 
     @property
     def num_params(self) -> int:
-        return sum(a.size for a in self.param_arrays())
-
-    def get_flat_params(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.param_arrays()])
-
-    def set_flat_params(self, flat) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_params,):
-            raise ShapeError(f"expected {self.num_params} parameters, got shape {flat.shape}")
-        pos = 0
-        for a in self.param_arrays():
-            a[...] = flat[pos : pos + a.size].reshape(a.shape)
-            pos += a.size
+        return self.params.size
 
     def _as_batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

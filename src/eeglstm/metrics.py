@@ -52,12 +52,23 @@ def _ratio(num: int, den: int):
     return num / den if den else None
 
 
-def confusion_report(scores, labels, threshold: float = 0.5) -> MetricsReport:
-    """Metrics at the decision rule: score >= threshold predicts positive."""
+def _scores_and_labels(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or scores.shape != labels.shape:
         raise ShapeError(f"scores {scores.shape} and labels {labels.shape} must be equal-length 1-D")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise MetricUndefinedError(f"{scores.size - int(finite.sum())} of {scores.size} scores are not finite")
+    return scores, labels
+
+
+def confusion_report(scores, labels, threshold: float = 0.5) -> MetricsReport:
+    """Metrics at the decision rule: score >= threshold predicts positive.
+
+    Non-finite scores raise MetricUndefinedError.
+    """
+    scores, labels = _scores_and_labels(scores, labels)
     if scores.size == 0:
         raise ValueError("cannot evaluate zero samples")
     pred = scores >= threshold
@@ -89,12 +100,10 @@ def roc_auc(scores, labels) -> float:
 
     Cumulative true/false positive counts are accumulated as integers and
     divided once, so the result equals the pairwise Mann-Whitney statistic
-    (ties credited 0.5) exactly, not merely to rounding.
+    (ties credited 0.5) exactly, not merely to rounding. Non-finite scores
+    raise MetricUndefinedError: they have no place in the ranking.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.ndim != 1 or scores.shape != labels.shape:
-        raise ShapeError(f"scores {scores.shape} and labels {labels.shape} must be equal-length 1-D")
+    scores, labels = _scores_and_labels(scores, labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:

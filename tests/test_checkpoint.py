@@ -17,7 +17,7 @@ def test_round_trip_bit_identical(model, tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, model, standardized=True, provenance={"seed": 7, "epoch": 3})
     loaded, meta = load_checkpoint(path)
-    assert loaded.get_flat_params().tobytes() == model.get_flat_params().tobytes()
+    assert loaded.params.tobytes() == model.params.tobytes()
     assert loaded.config == model.config
     assert meta["standardized"] is True
     assert meta["provenance"] == {"seed": 7, "epoch": 3}
@@ -88,11 +88,9 @@ def test_missing_model_field(model, tmp_path):
 
 def test_arbitrary_float_values_survive(tmp_path):
     model = init_params(ModelConfig(variant=1, seq_len=8, hidden_sizes=(3,)), 0)
-    flat = model.get_flat_params()
-    flat[0] = np.nextafter(1.0, 2.0)  # value with no short decimal form
-    flat[1] = -1e-300
-    model.set_flat_params(flat)
+    model.params[0] = np.nextafter(1.0, 2.0)  # value with no short decimal form
+    model.params[1] = -1e-300
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, model)
     loaded, _ = load_checkpoint(path)
-    assert loaded.get_flat_params().tobytes() == flat.tobytes()
+    assert loaded.params.tobytes() == model.params.tobytes()

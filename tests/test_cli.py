@@ -52,6 +52,28 @@ class TestUsageErrors:
             run(SMALL_TRAIN[:-1] + ["-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (SMALL_TRAIN + ["--folds", "0"], "--folds"),
+            (SMALL_TRAIN + ["--batch", "0"], "--batch"),
+            (SMALL_TRAIN + ["--jobs", "0"], "--jobs"),
+            (SMALL_TRAIN + ["--lr", "nan"], "--lr"),
+            (SMALL_TRAIN + ["--lr", "inf"], "--lr"),
+            (SMALL_TRAIN + ["--lr", "0"], "--lr"),
+            (SMALL_TRAIN + ["--epochs", "-1"], "--epochs"),
+            (["train", "--synthetic", "n=15"], "--synthetic"),
+            (["train", "--synthetic", "n=0"], "--synthetic"),
+            (["reproduce", "--data", "corpus", "--folds", "0"], "--folds"),
+            (["gen-synth", "--spec", "n=15"], "--spec"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestDataErrors:
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):

@@ -54,8 +54,7 @@ def test_train_mode_dropout_backward_matches_fd_with_fixed_mask():
     x = np.random.default_rng(0).standard_normal((2, 6))
     y = np.array([1.0, 0.0])
 
-    def loss_at(flat):
-        model.set_flat_params(flat)
+    def loss_at():
         probs, _ = model.forward(x, train=True, rng=np.random.default_rng(1234))
         losses, _ = bce_loss(probs, y)
         return float(losses.mean())
@@ -64,17 +63,17 @@ def test_train_mode_dropout_backward_matches_fd_with_fixed_mask():
     _, dloss = bce_loss(probs, y)
     analytic = flatten_arrays(model.backward(cache, dloss / len(y)))
 
-    base = model.get_flat_params()
+    params = model.params
     eps = 1e-5
-    numeric = np.empty_like(base)
-    for i in range(base.size):
-        theta = base.copy()
-        theta[i] = base[i] + eps
-        f_plus = loss_at(theta)
-        theta[i] = base[i] - eps
-        f_minus = loss_at(theta)
+    numeric = np.empty_like(params)
+    for i in range(params.size):
+        base = params[i]
+        params[i] = base + eps
+        f_plus = loss_at()
+        params[i] = base - eps
+        f_minus = loss_at()
+        params[i] = base
         numeric[i] = (f_plus - f_minus) / (2 * eps)
-    model.set_flat_params(base)
 
     assert relative_errors(analytic, numeric).max() < REL_TOL
 

@@ -1,11 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eeglstm.data import FoldSplit, ToneSpec, gen_synthetic, kfold_split
-from eeglstm.errors import ShapeError
+from eeglstm.errors import EegLstmError, ShapeError
 from eeglstm.harness import (
     CURVES_HEADER,
     RESULTS_HEADER,
@@ -47,7 +48,7 @@ class TestTrainModel:
         assert outcome.best.epoch is None and outcome.best.val_accuracy is None
         init_seed = int(np.random.SeedSequence(3).generate_state(2, dtype=np.uint64)[0])
         fresh = init_params(tiny_config(), init_seed)
-        assert outcome.model.get_flat_params().tobytes() == fresh.get_flat_params().tobytes()
+        assert outcome.model.params.tobytes() == fresh.params.tobytes()
 
     def test_bit_identical_reruns(self):
         data = tiny_dataset()
@@ -56,7 +57,7 @@ class TestTrainModel:
         a = train_model(tiny_config(), tcfg, split, data)
         b = train_model(tiny_config(), tcfg, split, data)
         assert a.curves == b.curves
-        assert a.model.get_flat_params().tobytes() == b.model.get_flat_params().tobytes()
+        assert a.model.params.tobytes() == b.model.params.tobytes()
         assert a.best.flat_params.tobytes() == b.best.flat_params.tobytes()
 
     def test_empty_split_rejected(self):
@@ -70,6 +71,22 @@ class TestTrainModel:
         bad = FoldSplit(0, np.array([0, 99]), np.array([1]), np.array([2]))
         with pytest.raises(ValueError):
             train_model(tiny_config(), TrainConfig(epochs=1), bad, data)
+
+    def test_non_finite_loss_stops_with_fold_epoch_and_batch(self):
+        data = tiny_dataset()
+        split = kfold_split(10, 1, seed=0)[0]
+
+        def poison(indices):
+            nan = {int(i) for i in indices}
+            samples = tuple(
+                replace(s, values=np.full(32, np.nan)) if n in nan else s for n, s in enumerate(data.samples)
+            )
+            return replace(data, samples=samples)
+
+        with pytest.raises(EegLstmError, match="fold 0: non-finite training loss at epoch 1, batch 1"):
+            train_model(tiny_config(), TrainConfig(epochs=2), split, poison(range(20)))
+        with pytest.raises(EegLstmError, match="fold 0: non-finite validation loss at epoch 1"):
+            train_model(tiny_config(), TrainConfig(epochs=2), split, poison(split.val))
 
     def test_best_checkpoint_is_max_val_accuracy_earliest_tie(self):
         data = tiny_dataset()

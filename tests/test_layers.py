@@ -4,28 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eeglstm.errors import ShapeError
 from eeglstm.layers import (
     DenseParams,
     LstmLayerParams,
-    LstmState,
     ModelConfig,
-    RnnLayerParams,
-    dense_sigmoid_forward,
     dropout_forward,
     flatten_arrays,
     init_params,
-    lstm_cell_forward,
     lstm_forward,
-    lstm_sequence_forward,
     param_count,
-    rnn_cell_forward,
-    rnn_output,
+    sigmoid,
 )
 
 
-def sigmoid(z):
+def scalar_sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z))
 
 
@@ -40,7 +35,7 @@ def scalar_params(b_i=0.0, b_f=0.0, b_c=0.0, b_o=0.0):
 
 def scalar_cell_oracle(x, h_prev, c_prev, w, u, b):
     """Closed-form single LSTM step for d=h=1; w/u/b are per-gate dicts."""
-    gate = lambda g: sigmoid(w[g] * x + u[g] * h_prev + b[g])
+    gate = lambda g: scalar_sigmoid(w[g] * x + u[g] * h_prev + b[g])
     i, f, o = gate("i"), gate("f"), gate("o")
     cand = math.tanh(w["c"] * x + u["c"] * h_prev + b["c"])
     c = f * c_prev + i * cand
@@ -48,10 +43,82 @@ def scalar_cell_oracle(x, h_prev, c_prev, w, u, b):
     return h, c
 
 
+def run_scalar(xs, params, h0=0.0, c0=0.0):
+    """lstm_forward on one d=1 sequence; returns the (1, T, 1)-shaped cache."""
+    x = np.asarray(xs, dtype=np.float64).reshape(1, -1, 1)
+    h_dim = params.recurrent.shape[0]
+    return lstm_forward(x, params, h0=np.full((1, h_dim), h0), c0=np.full((1, h_dim), c0))
+
+
+def naive_lstm(x, layer, h0=None, c0=None):
+    """Reference LSTM layer written from the gate equations.
+
+    Independent of lstm_forward: per-gate weight slices, one sample and one
+    step at a time, sigmoid as 1/(1+exp(-z)). x is (batch, time, d); returns
+    the hidden and cell states, each (batch, time, hidden).
+    """
+    batch, steps, _ = x.shape
+    hdim = layer.recurrent.shape[0]
+    cols = {g: slice(k * hdim, (k + 1) * hdim) for k, g in enumerate("ifco")}
+    w = {g: layer.kernel[:, cols[g]] for g in "ifco"}
+    u = {g: layer.recurrent[:, cols[g]] for g in "ifco"}
+    b = {g: layer.bias[cols[g]] for g in "ifco"}
+    logistic = lambda z: 1.0 / (1.0 + np.exp(-z))
+    hs = np.empty((batch, steps, hdim))
+    cs = np.empty((batch, steps, hdim))
+    for n in range(batch):
+        h = np.zeros(hdim) if h0 is None else h0[n]
+        c = np.zeros(hdim) if c0 is None else c0[n]
+        for t in range(steps):
+            pre = {g: x[n, t] @ w[g] + h @ u[g] + b[g] for g in "ifco"}
+            i, f, o = logistic(pre["i"]), logistic(pre["f"]), logistic(pre["o"])
+            c = f * c + i * np.tanh(pre["c"])
+            h = o * np.tanh(c)
+            hs[n, t], cs[n, t] = h, c
+    return hs, cs
+
+
+def naive_scores(model, x):
+    """Eval-mode probabilities of a Model, through naive_lstm and the read-out."""
+    feed = np.asarray(x, dtype=np.float64)[:, :, None]
+    for layer in model.lstm_layers:
+        feed, _ = naive_lstm(feed, layer)
+    z = feed[:, -1] @ model.dense.weights + model.dense.bias
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+class TestActivations:
+    def test_sigmoid_values(self):
+        assert float(sigmoid(0.0)) == 0.5
+        # independent evaluation of 1/(1+e^-1)
+        assert float(sigmoid(1.0)) == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=0)
+        assert float(sigmoid(1.0)) == pytest.approx(0.7310585786300049, abs=1e-15)
+
+    def test_sigmoid_extreme_inputs_do_not_overflow(self):
+        out = sigmoid(np.array([-1e4, 1e4]))
+        assert np.all(np.isfinite(out))
+        assert out[0] == 0.0 and out[1] == 1.0  # float64 saturation
+
+    def test_tanh_values(self):
+        assert float(np.tanh(0.0)) == 0.0
+        assert float(np.tanh(1.0)) == pytest.approx(math.tanh(1.0), abs=0)
+
+    @given(arrays(np.float64, st.integers(1, 20), elements=st.floats(-30.0, 30.0)))
+    def test_sigmoid_strictly_in_unit_interval(self, x):
+        # float64 saturates outside |x| ~ 36; within it the bound is strict
+        out = sigmoid(x)
+        assert np.all(out > 0.0) and np.all(out < 1.0)
+
+    @given(arrays(np.float64, st.integers(1, 20), elements=st.floats(-18.0, 18.0)))
+    def test_tanh_strictly_in_open_interval(self, x):
+        out = np.tanh(x)
+        assert np.all(out > -1.0) and np.all(out < 1.0)
+
+
 class TestLstmCell:
     def test_all_zero_params_zero_state(self):
-        state, cache = lstm_cell_forward(np.array([3.7]), LstmState.zeros(1), scalar_params())
-        assert state.h[0] == 0.0 and state.c[0] == 0.0
+        cache = run_scalar([3.7], scalar_params())
+        assert cache.h[0, 0, 0] == 0.0 and cache.c[0, 0, 0] == 0.0
         # gates sit at sigmoid(0) = 0.5, candidate at tanh(0) = 0
         assert cache.gate_i[0, 0, 0] == 0.5
         assert cache.gate_f[0, 0, 0] == 0.5
@@ -60,23 +127,24 @@ class TestLstmCell:
 
     def test_candidate_bias_case(self):
         # weights zero, b_c = 1 so the candidate is tanh(1), zero prev state
-        state, _ = lstm_cell_forward(np.array([0.3]), LstmState.zeros(1), scalar_params(b_c=1.0))
+        cache = run_scalar([0.3], scalar_params(b_c=1.0))
+        c, h = cache.c[0, 0, 0], cache.h[0, 0, 0]
         c_expect = 0.5 * math.tanh(1.0)
         h_expect = 0.5 * math.tanh(c_expect)
-        assert state.c[0] == pytest.approx(c_expect, abs=1e-15)
-        assert state.h[0] == pytest.approx(h_expect, abs=1e-15)
-        assert state.c[0] == pytest.approx(0.380797, abs=1e-6)
-        assert state.h[0] == pytest.approx(0.181700, abs=1e-6)
+        assert c == pytest.approx(c_expect, abs=1e-15)
+        assert h == pytest.approx(h_expect, abs=1e-15)
+        assert c == pytest.approx(0.380797, abs=1e-6)
+        assert h == pytest.approx(0.181700, abs=1e-6)
 
     def test_forget_bias_carries_cell_state(self):
-        prev = LstmState(h=np.zeros(1), c=np.ones(1))
-        state, _ = lstm_cell_forward(np.array([-2.0]), prev, scalar_params(b_f=1.0))
-        c_expect = sigmoid(1.0) * 1.0
+        cache = run_scalar([-2.0], scalar_params(b_f=1.0), h0=0.0, c0=1.0)
+        c, h = cache.c[0, 0, 0], cache.h[0, 0, 0]
+        c_expect = scalar_sigmoid(1.0) * 1.0
         h_expect = 0.5 * math.tanh(c_expect)
-        assert state.c[0] == pytest.approx(c_expect, abs=1e-15)
-        assert state.h[0] == pytest.approx(h_expect, abs=1e-15)
-        assert state.c[0] == pytest.approx(0.731059, abs=1e-6)
-        assert state.h[0] == pytest.approx(0.311856, abs=1e-6)
+        assert c == pytest.approx(c_expect, abs=1e-15)
+        assert h == pytest.approx(h_expect, abs=1e-15)
+        assert c == pytest.approx(0.731059, abs=1e-6)
+        assert h == pytest.approx(0.311856, abs=1e-6)
 
     def test_matches_closed_form_with_random_scalars(self):
         rng = np.random.default_rng(5)
@@ -87,52 +155,53 @@ class TestLstmCell:
             bias=np.array([b["i"], b["f"], b["c"], b["o"]]),
         )
         x, h0, c0 = 0.7, 0.2, -0.4
-        state, _ = lstm_cell_forward(np.array([x]), LstmState(np.array([h0]), np.array([c0])), params)
+        cache = run_scalar([x], params, h0=h0, c0=c0)
         h_expect, c_expect = scalar_cell_oracle(x, h0, c0, w, u, b)
-        assert state.h[0] == pytest.approx(h_expect, abs=1e-14)
-        assert state.c[0] == pytest.approx(c_expect, abs=1e-14)
+        assert cache.h[0, 0, 0] == pytest.approx(h_expect, abs=1e-14)
+        assert cache.c[0, 0, 0] == pytest.approx(c_expect, abs=1e-14)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            lstm_cell_forward(np.zeros(2), LstmState.zeros(1), scalar_params())
+            lstm_forward(np.zeros((1, 1, 2)), scalar_params())  # input dim 2 != 1
         with pytest.raises(ShapeError):
-            lstm_cell_forward(np.zeros(1), LstmState.zeros(3), scalar_params())
+            lstm_forward(np.zeros((1, 1, 1)), scalar_params(), h0=np.zeros((1, 3)))
+        with pytest.raises(ShapeError):
+            lstm_forward(np.zeros((1, 1)), scalar_params())  # no feature axis
 
 
 class TestLstmSequence:
     def test_single_step_equals_cell_bitwise(self):
+        # stepping one cell at a time, carrying (h, c), reproduces the run
         rng = np.random.default_rng(1)
         params = LstmLayerParams(rng.normal(size=(1, 8)), rng.normal(size=(2, 8)), rng.normal(size=8))
-        x = rng.normal(size=1)
-        state, _ = lstm_cell_forward(x, LstmState.zeros(2), params)
-        out = lstm_sequence_forward(x[None, :], params, mode="last_output")
-        assert out.tobytes() == state.h.tobytes()
+        x = rng.normal(size=(1, 5, 1))
+        full = lstm_forward(x, params)
+        h, c = np.zeros((1, 2)), np.zeros((1, 2))
+        for t in range(5):
+            step = lstm_forward(x[:, t : t + 1], params, h0=h, c0=c)
+            h, c = step.h[:, 0], step.c[:, 0]
+            assert h.tobytes() == full.h[:, t].tobytes()
+            assert c.tobytes() == full.c[:, t].tobytes()
 
     def test_all_zero_params_zero_output(self):
         params = LstmLayerParams(np.zeros((1, 12)), np.zeros((3, 12)), np.zeros(12))
-        out = lstm_sequence_forward(np.ones(5), params, mode="full_sequence")
-        assert out.shape == (5, 3)
-        assert np.all(out == 0.0)
+        cache = lstm_forward(np.ones((1, 5, 1)), params)
+        assert cache.h.shape == (1, 5, 3)
+        assert np.all(cache.h == 0.0)
 
     def test_two_step_unroll_matches_scalar_oracle(self):
-        params = scalar_params(b_c=1.0)
-        out = lstm_sequence_forward(np.array([1.0, 1.0]), params)
+        cache = run_scalar([1.0, 1.0], scalar_params(b_c=1.0))
         b = {"i": 0.0, "f": 0.0, "c": 1.0, "o": 0.0}
         zero = {g: 0.0 for g in "ifco"}
         h1, c1 = scalar_cell_oracle(1.0, 0.0, 0.0, zero, zero, b)
         h2, c2 = scalar_cell_oracle(1.0, h1, c1, zero, zero, b)
-        assert out[0] == pytest.approx(h2, abs=1e-15)
-        full = lstm_sequence_forward(np.array([1.0, 1.0]), params, mode="full_sequence")
-        assert full[0, 0] == pytest.approx(h1, abs=1e-15)
-        assert full[1, 0] == pytest.approx(h2, abs=1e-15)
+        assert cache.h[0, 0, 0] == pytest.approx(h1, abs=1e-15)
+        assert cache.h[0, 1, 0] == pytest.approx(h2, abs=1e-15)
+        assert cache.c[0, 1, 0] == pytest.approx(c2, abs=1e-15)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            lstm_sequence_forward(np.zeros(0), scalar_params())
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            lstm_sequence_forward(np.zeros(3), scalar_params(), mode="middle")
+            lstm_forward(np.zeros((1, 0, 1)), scalar_params())
 
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
@@ -150,56 +219,62 @@ class TestLstmSequence:
         assert np.all(cache.gate_o > 0.0) and np.all(cache.gate_o < 1.0)
 
 
-class TestRnnBaseline:
-    def test_zero_weights_yield_bias_activation(self):
-        params = RnnLayerParams(
-            transition=np.zeros((3, 3)),
-            input_w=np.zeros((3, 2)),
-            output_w=np.zeros((1, 3)),
-            bias=np.array([0.5, -0.5, 2.0]),
+class TestNaiveReference:
+    @pytest.mark.parametrize("d,hdim", [(1, 1), (1, 4), (3, 5)])
+    def test_lstm_forward_matches_every_step(self, d, hdim):
+        rng = np.random.default_rng(10 * d + hdim)
+        params = LstmLayerParams(
+            rng.uniform(-1, 1, (d, 4 * hdim)), rng.uniform(-1, 1, (hdim, 4 * hdim)), rng.uniform(-1, 1, 4 * hdim)
         )
-        h = rnn_cell_forward(np.ones(2), np.ones(3), params)
-        assert np.allclose(h, np.tanh(params.bias), atol=0)
+        x = rng.standard_normal((3, 7, d))
+        h0, c0 = rng.uniform(-1, 1, (3, hdim)), rng.uniform(-2, 2, (3, hdim))
+        cache = lstm_forward(x, params, h0=h0, c0=c0)
+        h_ref, c_ref = naive_lstm(x, params, h0, c0)
+        np.testing.assert_allclose(cache.h, h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.c, c_ref, rtol=0, atol=1e-12)
 
-    def test_scalar_case(self):
-        params = RnnLayerParams(
-            transition=np.array([[1.0]]),
-            input_w=np.array([[1.0]]),
-            output_w=np.array([[1.0]]),
-            bias=np.zeros(1),
-        )
-        h = rnn_cell_forward(np.array([1.0]), np.array([0.0]), params)
-        assert h[0] == pytest.approx(math.tanh(1.0), abs=1e-15)
-        assert h[0] == pytest.approx(0.761594, abs=1e-6)
+    @pytest.mark.parametrize("hidden", [(6,), (6, 4)])
+    def test_model_scores_match(self, hidden):
+        model = init_params(ModelConfig(variant=len(hidden), seq_len=9, hidden_sizes=hidden), 7)
+        x = np.random.default_rng(8).standard_normal((4, 9))
+        np.testing.assert_allclose(model.scores(x), naive_scores(model, x), rtol=0, atol=1e-12)
 
-    def test_zero_readout_gives_half(self):
-        y = rnn_output(np.array([0.3, -0.8]), np.zeros((1, 2)))
-        assert y[0] == 0.5
 
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            RnnLayerParams(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros(2))
+def small_model(seed=0):
+    return init_params(ModelConfig(variant=1, seq_len=8, hidden_sizes=(8,)), seed)
 
 
 class TestDense:
     def test_zero_params_give_half(self):
-        assert dense_sigmoid_forward(np.ones(4), DenseParams(np.zeros(4), np.zeros(()))) == 0.5
+        model = small_model()
+        model.dense.weights[...] = 0.0
+        model.dense.bias[...] = 0.0
+        x = np.random.default_rng(0).standard_normal((3, 8))
+        assert np.all(model.scores(x) == 0.5)
 
     def test_unit_case(self):
-        p = dense_sigmoid_forward(np.array([1.0]), DenseParams(np.array([1.0]), np.zeros(())))
-        assert p == pytest.approx(sigmoid(1.0), abs=1e-15)
+        # zero read-out weights and unit bias: every probability is sigmoid(1)
+        model = small_model()
+        model.dense.weights[...] = 0.0
+        model.dense.bias[...] = 1.0
+        p = model.scores(np.ones((2, 8)))
+        assert p == pytest.approx(scalar_sigmoid(1.0), abs=1e-15)
         assert p == pytest.approx(0.731059, abs=1e-6)
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(2)
+        model = small_model()
         for _ in range(50):
-            h = rng.uniform(-1, 1, 8)
-            p = dense_sigmoid_forward(h, DenseParams(rng.uniform(-2, 2, 8), np.asarray(rng.normal())))
-            assert 0.0 < p < 1.0
+            model.dense.weights[...] = rng.uniform(-2, 2, 8)
+            model.dense.bias[...] = rng.normal()
+            p = model.scores(rng.uniform(-1, 1, (2, 8)))
+            assert np.all((p > 0.0) & (p < 1.0))
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            dense_sigmoid_forward(np.ones(3), DenseParams(np.zeros(4), np.zeros(())))
+            DenseParams(np.zeros(4), np.zeros(1))  # bias must be a 0-d scalar
+        with pytest.raises(ShapeError):
+            DenseParams(np.zeros((4, 1)), np.zeros(()))
 
 
 class TestDropout:
@@ -266,17 +341,17 @@ class TestParamCount:
 class TestInit:
     def test_same_seed_bit_identical(self):
         config = ModelConfig(variant=2, seq_len=32, hidden_sizes=(6, 4))
-        a = init_params(config, 123).get_flat_params()
-        b = init_params(config, 123).get_flat_params()
+        a = init_params(config, 123).params
+        b = init_params(config, 123).params
         assert a.tobytes() == b.tobytes()
-        c = init_params(config, 124).get_flat_params()
+        c = init_params(config, 124).params
         assert a.tobytes() != c.tobytes()
 
     def test_recurrent_gate_blocks_orthogonal(self):
         model = init_params(ModelConfig(variant=1, seq_len=8, hidden_sizes=(16,)), 9)
         layer = model.lstm_layers[0]
-        for gate in "ifco":
-            u = layer.recurrent_weights(gate)
+        for k in range(4):
+            u = layer.recurrent[:, 16 * k : 16 * (k + 1)]
             assert np.allclose(u.T @ u, np.eye(16), atol=1e-10)
 
     def test_forget_bias_ones_other_biases_zero(self):
@@ -346,14 +421,19 @@ class TestModel:
         p2, _ = model.forward(x, train=True, rng=np.random.default_rng(99))
         assert p1.tobytes() == p2.tobytes()
 
-    def test_flat_param_round_trip(self):
-        model = init_params(ModelConfig(variant=2, seq_len=8, hidden_sizes=(5, 3)), 4)
-        flat = model.get_flat_params()
-        other = init_params(ModelConfig(variant=2, seq_len=8, hidden_sizes=(5, 3)), 5)
-        other.set_flat_params(flat)
-        assert other.get_flat_params().tobytes() == flat.tobytes()
-        with pytest.raises(ShapeError):
-            other.set_flat_params(flat[:-1])
+    def test_param_blocks_are_views_of_params(self):
+        x = np.random.default_rng(1).standard_normal((3, 8))
+        for hidden in ((5,), (5, 3)):
+            model = init_params(ModelConfig(variant=len(hidden), seq_len=8, hidden_sizes=hidden), 4)
+            blocks = model.param_arrays()
+            assert all(np.shares_memory(block, model.params) for block in blocks)
+            assert flatten_arrays(blocks).tobytes() == model.params.tobytes()
+            before = model.scores(x)
+            blocks[0][...] += 0.5  # a write through a block reaches params and the scores
+            assert np.array_equal(model.params[: blocks[0].size], blocks[0].ravel())
+            assert not np.array_equal(model.scores(x), before)
+            model.params[-1] = 2.0  # and a write to params reaches the blocks
+            assert model.dense.bias == 2.0
 
     def test_eval_forward_ignores_dropout(self):
         config = ModelConfig(variant=2, seq_len=8, hidden_sizes=(5, 3))

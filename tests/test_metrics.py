@@ -49,6 +49,11 @@ class TestRocAuc:
         with pytest.raises(ShapeError):
             roc_auc([0.1, 0.9], [1, 0, 1])
 
+    def test_non_finite_scores_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(MetricUndefinedError, match="not finite"):
+                roc_auc([bad, 0.2, 0.3], [1, 0, 1])
+
     @given(
         st.lists(
             st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]), st.integers(0, 1)),
@@ -112,6 +117,10 @@ class TestConfusionReport:
             "tp", "fp", "tn", "fn",
             "accuracy", "sensitivity", "specificity", "precision", "auc", "threshold",
         }
+
+    def test_non_finite_scores_rejected_not_auc_none(self):
+        with pytest.raises(MetricUndefinedError, match="not finite"):
+            confusion_report(np.array([np.nan, 0.2, 0.3]), np.array([1, 0, 1]))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -133,6 +133,11 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"epochs": -1},
             {"seed": -3},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"epsilon": -1e-8},
         ],
     )
     def test_validation(self, kwargs):
