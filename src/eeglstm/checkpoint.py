@@ -34,7 +34,7 @@ def save_checkpoint(path, model: Model, standardized: bool = False, provenance: 
         "provenance": provenance or {},
         "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in zip(model.param_names(), model.param_arrays())
+            for name, arr in model.blocks(model.params).items()
         },
     }
     with open(path, "w", encoding="ascii") as fh:
@@ -42,8 +42,8 @@ def save_checkpoint(path, model: Model, standardized: bool = False, provenance: 
         fh.write("\n")
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
+def _require(doc, key: str):
+    if not isinstance(doc, dict) or key not in doc:
         raise CheckpointError(f"checkpoint is missing field {key!r}")
     return doc[key]
 
@@ -53,7 +53,8 @@ def load_checkpoint(path, expect_variant: int | None = None):
 
     Returns (model, meta) where meta holds the standardization flag and the
     saved provenance. Raises CheckpointError on unreadable files, version
-    mismatch, missing fields, or shape mismatches (naming the field).
+    mismatch, and missing, malformed, non-finite or mis-shaped fields
+    (naming the field).
     """
     path = Path(path)
     try:
@@ -68,35 +69,43 @@ def load_checkpoint(path, expect_variant: int | None = None):
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {version}, expected {FORMAT_VERSION}")
     info = _require(doc, "model")
-    for key in ("variant", "hidden_sizes", "dropout_prob", "input_dim", "seq_len"):
-        _require(info, key)
-    if expect_variant is not None and info["variant"] != expect_variant:
+    casts = {
+        "variant": int,
+        "hidden_sizes": lambda sizes: tuple(map(int, sizes)),
+        "dropout_prob": float,
+        "input_dim": int,
+        "seq_len": int,
+    }
+    fields = {}
+    for key, cast in casts.items():
+        value = _require(info, key)
+        try:
+            fields[key] = cast(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(f"invalid model field {key!r} in checkpoint: {exc}") from exc
+    if expect_variant is not None and fields["variant"] != expect_variant:
         raise CheckpointError(
-            f"checkpoint holds model variant {info['variant']}, requested variant {expect_variant}"
+            f"checkpoint holds model variant {fields['variant']}, requested variant {expect_variant}"
         )
     try:
-        config = ModelConfig(
-            variant=int(info["variant"]),
-            seq_len=int(info["seq_len"]),
-            hidden_sizes=tuple(info["hidden_sizes"]),
-            dropout_prob=float(info["dropout_prob"]),
-            input_dim=int(info["input_dim"]),
-        )
+        config = ModelConfig(**fields)
     except ValueError as exc:
         raise CheckpointError(f"invalid model config in checkpoint: {exc}") from exc
 
     model = Model(config)
     stored = _require(doc, "params")
-    for name, arr in zip(model.param_names(), model.param_arrays()):
-        if name not in stored:
-            raise CheckpointError(f"checkpoint is missing parameter block {name!r}")
-        entry = stored[name]
-        shape = tuple(entry.get("shape", ()))
+    for name, arr in model.blocks(model.params).items():
+        entry = _require(stored, name)
+        try:
+            shape, data = tuple(entry["shape"]), np.asarray(entry["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{name}: malformed parameter block: {type(exc).__name__}: {exc}") from exc
         if shape != arr.shape:
             raise CheckpointError(f"{name}: checkpoint shape {list(shape)} != expected {list(arr.shape)}")
-        data = np.asarray(entry.get("data", []), dtype=np.float64)
         if data.size != arr.size:
             raise CheckpointError(f"{name}: checkpoint holds {data.size} values, expected {arr.size}")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{name}: checkpoint holds non-finite values")
         arr[...] = data.reshape(arr.shape)
     meta = {
         "standardized": bool(doc.get("standardized", False)),

@@ -87,15 +87,18 @@ def _resolve_dataset(args, parser):
         if not args.pair:
             parser.error("--data requires --pair X,Y")
         pair = _parse_pair(args.pair, parser)
-        seq_len = args.seq_len or datamod.BONN_SEQ_LEN
+        seq_len = datamod.BONN_SEQ_LEN if args.seq_len is None else args.seq_len
         first = datamod.load_bonn_set(args.data, pair[0], expected_len=seq_len)
         second = datamod.load_bonn_set(args.data, pair[1], expected_len=seq_len)
         dataset = datamod.make_pair_dataset(first, second)
         source = f"bonn:{args.data}"
     else:
         spec = _parse_synth_spec(args.synthetic, parser)
-        seq_len = args.seq_len or datamod.DEFAULT_SYNTH_SEQ_LEN
-        dataset = _build_synthetic(spec, seq_len, args.seed)
+        seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if args.seq_len is None else args.seq_len
+        try:
+            dataset = _build_synthetic(spec, seq_len, args.seed)
+        except ValueError as exc:
+            parser.error(f"--synthetic: {exc}")
         source = f"synthetic:{args.synthetic}"
     if getattr(args, "standardize", False):
         dataset = datamod.standardize_dataset(dataset)
@@ -154,7 +157,8 @@ def _model_from_fold(result, fold):
 
 def cmd_evaluate(args, parser) -> int:
     model, meta = ckpt.load_checkpoint(args.checkpoint, expect_variant=args.model)
-    args.seq_len = args.seq_len or model.config.seq_len
+    if args.seq_len is None:
+        args.seq_len = model.config.seq_len
     args.standardize = False  # the checkpoint's recorded flag decides
     dataset, source = _resolve_dataset(args, parser)
     if meta["standardized"]:
@@ -187,7 +191,7 @@ def cmd_evaluate(args, parser) -> int:
 
 def cmd_reproduce(args, parser) -> int:
     tcfg = _train_config(args)
-    seq_len = args.seq_len or datamod.BONN_SEQ_LEN
+    seq_len = datamod.BONN_SEQ_LEN if args.seq_len is None else args.seq_len
     _print_config(
         "reproduce",
         {
@@ -226,13 +230,16 @@ def cmd_reproduce(args, parser) -> int:
 
 def cmd_gen_synth(args, parser) -> int:
     spec = _parse_synth_spec(args.spec, parser, flag="--spec")
-    seq_len = args.seq_len or datamod.DEFAULT_SYNTH_SEQ_LEN
+    seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if args.seq_len is None else args.seq_len
     set_names = _parse_pair(args.sets, parser)
     _print_config(
         "gen-synth",
         {"spec": spec, "seq_len": seq_len, "seed": args.seed, "sets": "/".join(set_names), "out": args.out},
     )
-    dataset = _build_synthetic(spec, seq_len, args.seed)
+    try:
+        dataset = _build_synthetic(spec, seq_len, args.seed)
+    except ValueError as exc:
+        parser.error(f"--spec: {exc}")
     dirs = datamod.export_bonn_format(dataset, args.out, set_names=set_names)
     for d in dirs:
         print(f"wrote {d}")
@@ -282,7 +289,7 @@ def _add_data_flags(sub, with_pair: bool = True) -> None:
         help="use a generated corpus: 'default' or key=value list "
         f"({','.join(SYNTH_KEYS)}), e.g. f0=2,f1=10,noise=0.1",
     )
-    sub.add_argument("--seq-len", type=int, dest="seq_len", help="sequence length (default 4097 on-disk, 128 synthetic)")
+    sub.add_argument("--seq-len", type=_pos_int, dest="seq_len", help="sequence length (default 4097 on-disk, 128 synthetic)")
     sub.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
 
 
@@ -302,6 +309,7 @@ def _bounded(cast, accept, requirement: str):
 _nonneg_int = _bounded(int, lambda v: v >= 0, "non-negative")
 _pos_int = _bounded(int, lambda v: v >= 1, "a positive integer")
 _pos_float = _bounded(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+_finite_float = _bounded(float, math.isfinite, "a finite number")
 # The folds split each class 70/20/10, so n must be a positive multiple of 10.
 _synth_n = _bounded(int, lambda v: v >= 1 and v % 10 == 0, "a positive multiple of 10")
 
@@ -329,29 +337,29 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--checkpoint", required=True, help="checkpoint.json to load")
     ev.add_argument("--model", type=int, choices=(1, 2), help="assert the checkpoint's variant")
-    ev.add_argument("--threshold", type=float, default=harness.DECISION_THRESHOLD)
+    ev.add_argument("--threshold", type=_finite_float, default=harness.DECISION_THRESHOLD)
     ev.add_argument("--out", help="directory for metrics.json (optional)")
     _add_data_flags(ev)
     ev.set_defaults(func=cmd_evaluate)
 
     rep = subs.add_parser("reproduce", help="run the full six-pair grid on an on-disk corpus")
     rep.add_argument("--data", required=True, help="corpus root holding sets A-E")
-    rep.add_argument("--seq-len", type=int, dest="seq_len")
+    rep.add_argument("--seq-len", type=_pos_int, dest="seq_len")
     rep.add_argument("--seed", type=_nonneg_int, default=0)
     _add_train_flags(rep)
     rep.set_defaults(func=cmd_reproduce)
 
     gen = subs.add_parser("gen-synth", help="write a synthetic surrogate corpus in the on-disk format")
     gen.add_argument("--spec", default="default", help="'default' or key=value list (values rounded to ints on disk)")
-    gen.add_argument("--seq-len", type=int, dest="seq_len")
+    gen.add_argument("--seq-len", type=_pos_int, dest="seq_len")
     gen.add_argument("--seed", type=_nonneg_int, default=0)
     gen.add_argument("--sets", default="A,E", help="set names for the two class directories (default A,E)")
     gen.add_argument("--out", default="synth", help="output directory (default ./synth)")
     gen.set_defaults(func=cmd_gen_synth)
 
     grad = subs.add_parser("gradcheck", help="finite-difference check of the backward pass")
-    grad.add_argument("--hidden", type=int, help="hidden size (default: 4 and 8)")
-    grad.add_argument("--steps", type=int, help="sequence length (default: 5 and 20)")
+    grad.add_argument("--hidden", type=_pos_int, help="hidden size (default: 4 and 8)")
+    grad.add_argument("--steps", type=_pos_int, help="sequence length (default: 5 and 20)")
     grad.add_argument("--model", type=int, choices=(1, 2), help="variant (default: both)")
     grad.add_argument("--seed", type=_nonneg_int, default=0)
     grad.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)

@@ -218,8 +218,8 @@ def gen_synthetic(
     """Deterministic surrogate corpus: amplitude*sin(2 pi f t) + Gaussian noise."""
     if seq_len < 2:
         raise ValueError(f"seq_len must be >= 2, got {seq_len}")
-    if sample_rate_hz <= 0:
-        raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+    if not 0 < sample_rate_hz < np.inf:
+        raise ValueError(f"sample_rate_hz must be positive and finite, got {sample_rate_hz}")
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     if seed < 0:

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 
-from .layers import Model, ModelConfig, flatten_arrays, init_params
+from .layers import Model, ModelConfig, init_params
 from .optim import bce_loss
 
 REL_TOL = 1e-5
@@ -69,16 +69,18 @@ def numeric_gradient(model: Model, x, y, eps: float = FD_EPS) -> np.ndarray:
 def analytic_gradient(model: Model, x, y, perturb: float = 0.0) -> np.ndarray:
     """Backward-pass gradients of the mean BCE loss (flat).
 
-    `perturb` deliberately corrupts the first parameter block; it exists so
+    `perturb` deliberately corrupts the lstm1.kernel block; it exists so
     negative-control tests can prove the checker catches a broken backward
     pass.
     """
     probs, cache = model.forward(x, train=False)
     _, dloss = bce_loss(probs, y)
-    grads = model.backward(cache, dloss / len(y))
+    model.backward(cache, dloss / len(y))
+    grad = model.grad.copy()
     if perturb:
-        grads[0] = grads[0] * (1.0 + perturb) + perturb
-    return flatten_arrays(grads)
+        kernel = model.blocks(grad)["lstm1.kernel"]
+        kernel[...] = kernel * (1.0 + perturb) + perturb
+    return grad
 
 
 def check_model(model: Model, x, y, eps: float = FD_EPS, perturb: float = 0.0):
@@ -87,14 +89,8 @@ def check_model(model: Model, x, y, eps: float = FD_EPS, perturb: float = 0.0):
     y = np.asarray(y, dtype=np.float64)
     analytic = analytic_gradient(model, x, y, perturb=perturb)
     numeric = numeric_gradient(model, x, y, eps=eps)
-    errs = relative_errors(analytic, numeric)
-    blocks = []
-    pos = 0
-    for name, arr in zip(model.param_names(), model.param_arrays()):
-        chunk = errs[pos : pos + arr.size]
-        blocks.append(BlockReport(name=name, max_rel_err=float(chunk.max())))
-        pos += arr.size
-    return blocks
+    errs = model.blocks(relative_errors(analytic, numeric))
+    return [BlockReport(name=name, max_rel_err=float(block.max())) for name, block in errs.items()]
 
 
 def run_gradcheck(

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import BONN_SEQ_LEN, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
 from .errors import EegLstmError, ShapeError
-from .layers import Model, ModelConfig, flatten_arrays, init_params
+from .layers import Model, ModelConfig, init_params
 from .metrics import MetricsReport, confusion_report
 from .optim import AdamState, TrainConfig, adam_step, bce_loss
 
@@ -118,7 +118,7 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     )
     model = init_params(config, init_seed)
     rng = np.random.default_rng(stream_seed)
-    adam = AdamState.zeros(model.num_params)
+    adam = AdamState.zeros(model.params.size)
     best = BestSnapshot(epoch=None, val_accuracy=None, flat_params=model.params.copy())
     curves = []
 
@@ -137,8 +137,8 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
                 raise EegLstmError(
                     f"fold {split.fold_index}: non-finite training loss at epoch {epoch}, batch {n}"
                 )
-            grads = model.backward(cache, dloss / batch.size)
-            new_params, adam = adam_step(model.params, flatten_arrays(grads), adam, tcfg)
+            model.backward(cache, dloss / batch.size)
+            new_params, adam = adam_step(model.params, model.grad, adam, tcfg)
             model.params[...] = new_params
             loss_sum += batch_loss
         val_scores = model.scores(x_all[val_idx])

@@ -6,7 +6,8 @@ computes every gate pre-activation. Column blocks are ordered input, forget,
 cell candidate, output; ``gate_bias`` gives the per-gate view of a bias.
 
 Shapes follow the batched convention (batch, time, features). A Model holds
-every parameter in one float64 vector, and each weight block is a view of it.
+its parameters in one float64 vector, `params`, and its gradients in another
+of the same layout, `grad`; `Model.blocks` views either as named blocks.
 """
 
 from __future__ import annotations
@@ -261,19 +262,26 @@ class ModelConfig:
             raise ValueError(f"seq_len and input_dim must be >= 1, got {self.seq_len}, {self.input_dim}")
 
 
+def _layout(config: ModelConfig):
+    """(name, shape) of every parameter block, in storage order."""
+    table, d = [], config.input_dim
+    for n, h in enumerate(config.hidden_sizes, start=1):
+        table += [(f"lstm{n}.kernel", (d, 4 * h)), (f"lstm{n}.recurrent", (h, 4 * h)), (f"lstm{n}.bias", (4 * h,))]
+        d = h
+    return table + [("dense.weights", (d,)), ("dense.bias", ())]
+
+
 def param_count(config: ModelConfig):
     """Total trainable parameter count with a per-layer breakdown.
 
     LSTM layers contribute 4*h*(h + d + 1), the read-out h + 1.
     Returns (total, [(layer_name, count), ...]).
     """
-    layers = []
-    d = config.input_dim
-    for n, h in enumerate(config.hidden_sizes, start=1):
-        layers.append((f"lstm{n}", 4 * h * (h + d + 1)))
-        d = h
-    layers.append(("dense", d + 1))
-    return sum(c for _, c in layers), layers
+    layers = {}
+    for name, shape in _layout(config):
+        layer = name.split(".")[0]
+        layers[layer] = layers.get(layer, 0) + math.prod(shape)
+    return sum(layers.values()), list(layers.items())
 
 
 def _glorot_uniform(rng, shape):
@@ -327,42 +335,34 @@ class Model:
     read-out always sees the final layer's last hidden state.
 
     `params` is the only parameter storage: one float64 vector, zero at
-    construction, of which every block in param_arrays() is a view, in
-    param_names() order. Writing either side changes the other.
+    construction, of which every block in param_arrays() is a view. `grad`
+    has the same layout and holds the gradients of the last backward call.
+    blocks(vec) maps each block name to a view of a vector in this layout.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         self.params = np.zeros(param_count(config)[0])
-        end = 0
+        self.grad = np.zeros_like(self.params)
+        p = self.blocks(self.params)
+        self.lstm_layers = [
+            LstmLayerParams(p[f"lstm{n}.kernel"], p[f"lstm{n}.recurrent"], p[f"lstm{n}.bias"])
+            for n in range(1, len(config.hidden_sizes) + 1)
+        ]
+        self.dense = DenseParams(p["dense.weights"], p["dense.bias"])
 
-        def view(*shape):
-            nonlocal end
+    def blocks(self, vec) -> dict:
+        """Map each block name, in storage order, to its reshaped view of vec."""
+        if vec.shape != self.params.shape:
+            raise ShapeError(f"vector shape {vec.shape} != params shape {self.params.shape}")
+        views, end = {}, 0
+        for name, shape in _layout(self.config):
             start, end = end, end + math.prod(shape)
-            return self.params[start:end].reshape(shape)
-
-        self.lstm_layers = []
-        d = config.input_dim
-        for h in config.hidden_sizes:
-            self.lstm_layers.append(LstmLayerParams(view(d, 4 * h), view(h, 4 * h), view(4 * h)))
-            d = h
-        self.dense = DenseParams(view(d), view())
-
-    def param_names(self):
-        names = []
-        for n in range(1, len(self.lstm_layers) + 1):
-            names += [f"lstm{n}.kernel", f"lstm{n}.recurrent", f"lstm{n}.bias"]
-        return names + ["dense.weights", "dense.bias"]
+            views[name] = vec[start:end].reshape(shape)
+        return views
 
     def param_arrays(self):
-        arrays = []
-        for layer in self.lstm_layers:
-            arrays += [layer.kernel, layer.recurrent, layer.bias]
-        return arrays + [self.dense.weights, self.dense.bias]
-
-    @property
-    def num_params(self) -> int:
-        return self.params.size
+        return list(self.blocks(self.params).values())
 
     def _as_batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -407,22 +407,21 @@ class Model:
 
         dloss_dp: (batch,) upstream derivative of the loss with respect to
         each sample's predicted probability (for a batch-mean loss, the
-        per-sample derivatives divided by the batch size). Returns arrays in
-        param_arrays() order.
+        per-sample derivatives divided by the batch size). Overwrites `grad`
+        and returns its block views in param_arrays() order.
         """
         if not isinstance(cache, ModelCache) or cache.probs is None:
             raise RuntimeError("backward needs the cache produced by forward")
         dloss_dp = np.asarray(dloss_dp, dtype=np.float64)
         if dloss_dp.shape != cache.probs.shape:
             raise ShapeError(f"upstream gradient {dloss_dp.shape} != probs {cache.probs.shape}")
+        g = self.blocks(self.grad)
         dz = dloss_dp * cache.probs * (1.0 - cache.probs)
-        dw_dense = cache.pre_dense.T @ dz
-        db_dense = np.asarray(dz.sum())
-        dh = np.outer(dz, self.dense.weights)
+        g["dense.weights"][...] = cache.pre_dense.T @ dz
+        g["dense.bias"][...] = dz.sum()
+        upstream = np.outer(dz, self.dense.weights)
 
-        grads_per_layer = [None] * len(self.lstm_layers)
         last = len(self.lstm_layers) - 1
-        upstream = dh
         for idx in range(last, -1, -1):
             mask = cache.dropout_masks[idx]
             if mask is not None:
@@ -433,19 +432,12 @@ class Model:
                 dh_out[:, -1] = upstream
             else:
                 dh_out = upstream
-            dx, grads_per_layer[idx] = lstm_backward(dh_out, lcache, self.lstm_layers[idx])
-            upstream = dx
-
-        out = []
-        for g in grads_per_layer:
-            out += list(g)
-        return out + [dw_dense, db_dense]
+            upstream, grads = lstm_backward(dh_out, lcache, self.lstm_layers[idx])
+            for part, grad in zip(("kernel", "recurrent", "bias"), grads):
+                g[f"lstm{idx + 1}.{part}"][...] = grad
+        return list(g.values())
 
     def scores(self, x) -> np.ndarray:
         """Eval-mode probabilities for a batch (dropout inactive)."""
         probs, _ = self.forward(x, train=False)
         return probs
-
-
-def flatten_arrays(arrays) -> np.ndarray:
-    return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])

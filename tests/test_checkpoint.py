@@ -86,6 +86,32 @@ def test_missing_model_field(model, tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "section,key,value,match",
+    [
+        ("model", "hidden_sizes", 5, "hidden_sizes"),
+        ("model", "hidden_sizes", [None, 4], "hidden_sizes"),
+        ("model", "hidden_sizes", [float("inf"), 4], "hidden_sizes"),
+        ("model", "seq_len", None, "seq_len"),
+        ("model", "variant", "two", "variant"),
+        ("model", "dropout_prob", [0.3], "dropout_prob"),
+        ("params", "lstm1.kernel", {"shape": [1, 24], "data": ["a"]}, "lstm1.kernel"),
+        ("params", "lstm2.bias", [0.0] * 16, "lstm2.bias"),
+        ("params", "lstm2.recurrent", {"shape": None, "data": [0.0] * 64}, "lstm2.recurrent"),
+        ("params", "dense.weights", {"shape": [4], "data": [0, float("nan"), 0, 0]}, "dense.weights.*non-finite"),
+        ("params", "dense.bias", {"shape": [], "data": float("inf")}, "dense.bias.*non-finite"),
+    ],
+)
+def test_malformed_field_is_checkpoint_error(model, tmp_path, section, key, value, match):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model)
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
 def test_arbitrary_float_values_survive(tmp_path):
     model = init_params(ModelConfig(variant=1, seq_len=8, hidden_sizes=(3,)), 0)
     model.params[0] = np.nextafter(1.0, 2.0)  # value with no short decimal form

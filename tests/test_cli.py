@@ -66,6 +66,19 @@ class TestUsageErrors:
             (["train", "--synthetic", "n=0"], "--synthetic"),
             (["reproduce", "--data", "corpus", "--folds", "0"], "--folds"),
             (["gen-synth", "--spec", "n=15"], "--spec"),
+            (SMALL_TRAIN[:4] + ["-5"], "--seq-len"),
+            (SMALL_TRAIN[:4] + ["0"], "--seq-len"),
+            (["reproduce", "--data", "corpus", "--seq-len", "0"], "--seq-len"),
+            (["gen-synth", "--seq-len", "-1"], "--seq-len"),
+            (["train", "--synthetic", "rate=0"], "--synthetic"),
+            (["train", "--synthetic", "rate=nan"], "--synthetic"),
+            (["train", "--synthetic", "f0=-1"], "--synthetic"),
+            (["gen-synth", "--spec", "noise=-1"], "--spec"),
+            (["gradcheck", "--hidden", "-1"], "--hidden"),
+            (["gradcheck", "--hidden", "0"], "--hidden"),
+            (["gradcheck", "--steps", "-3"], "--steps"),
+            (["evaluate", "--checkpoint", "ckpt.json", "--synthetic", "--threshold", "nan"], "--threshold"),
+            (["evaluate", "--checkpoint", "ckpt.json", "--synthetic", "--threshold", "inf"], "--threshold"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):

@@ -5,7 +5,6 @@ A kernel change that reorders arithmetic may move these in the last digits;
 it must stay within GOLDEN_REL of every pinned value.
 """
 
-import numpy as np
 import pytest
 
 from eeglstm.data import ToneSpec, gen_synthetic, kfold_split
@@ -75,9 +74,8 @@ def test_golden_trajectory(hidden, dropout):
         assert all(close(a, e) for a, e in zip(row, expected)), f"epoch {epoch}: {row} != {expected}"
     assert outcome.best.epoch == golden["best_epoch"]
 
-    sizes = [a.size for a in outcome.model.param_arrays()]
-    blocks = np.split(outcome.best.flat_params, np.cumsum(sizes)[:-1])
-    assert outcome.model.param_names() == list(golden["blocks"])
-    for name, block in zip(outcome.model.param_names(), blocks):
+    blocks = outcome.model.blocks(outcome.best.flat_params)
+    assert list(blocks) == list(golden["blocks"])
+    for name, block in blocks.items():
         stats = (float(block.sum()), float((block * block).sum()))
         assert all(close(a, e) for a, e in zip(stats, golden["blocks"][name])), f"{name}: {stats}"

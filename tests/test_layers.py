@@ -12,7 +12,6 @@ from eeglstm.layers import (
     LstmLayerParams,
     ModelConfig,
     dropout_forward,
-    flatten_arrays,
     init_params,
     lstm_forward,
     param_count,
@@ -335,7 +334,7 @@ class TestParamCount:
         for variant in (1, 2):
             config = ModelConfig(variant=variant, seq_len=16)
             model = init_params(config, 0)
-            assert model.num_params == param_count(config)[0]
+            assert sum(a.size for a in model.param_arrays()) == param_count(config)[0]
 
 
 class TestInit:
@@ -398,11 +397,10 @@ class TestModel:
         # is structurally zero while recurrent/bias paths stay live
         model = init_params(ModelConfig(variant=1, seq_len=6, hidden_sizes=(4,)), 1)
         probs, cache = model.forward(np.zeros((2, 6)))
-        grads = model.backward(cache, np.ones(2))
-        names = model.param_names()
-        kernel_grad = grads[names.index("lstm1.kernel")]
-        assert np.all(kernel_grad == 0.0)
-        assert np.any(grads[names.index("lstm1.bias")] != 0.0)
+        model.backward(cache, np.ones(2))
+        grads = model.blocks(model.grad)
+        assert np.all(grads["lstm1.kernel"] == 0.0)
+        assert np.any(grads["lstm1.bias"] != 0.0)
 
     def test_backward_without_cache_is_state_error(self):
         model = init_params(ModelConfig(variant=1, seq_len=6, hidden_sizes=(4,)), 0)
@@ -427,7 +425,17 @@ class TestModel:
             model = init_params(ModelConfig(variant=len(hidden), seq_len=8, hidden_sizes=hidden), 4)
             blocks = model.param_arrays()
             assert all(np.shares_memory(block, model.params) for block in blocks)
-            assert flatten_arrays(blocks).tobytes() == model.params.tobytes()
+            assert np.concatenate([b.ravel() for b in blocks]).tobytes() == model.params.tobytes()
+            # backward writes model.grad and returns its blocks in param_arrays() order and shapes
+            probs, cache = model.forward(x)
+            grads = model.backward(cache, probs - 0.5)
+            assert [g.shape for g in grads] == [b.shape for b in blocks]
+            assert all(np.shares_memory(g, model.grad) for g in grads)
+            assert np.concatenate([g.ravel() for g in grads]).tobytes() == model.grad.tobytes()
+            assert np.any(model.grad != 0.0)
+            first = model.grad.copy()
+            model.backward(cache, probs - 0.5)
+            assert model.grad.tobytes() == first.tobytes()  # overwritten, not accumulated
             before = model.scores(x)
             blocks[0][...] += 0.5  # a write through a block reaches params and the scores
             assert np.array_equal(model.params[: blocks[0].size], blocks[0].ravel())
@@ -442,8 +450,3 @@ class TestModel:
         s1 = model.scores(x)
         s2 = model.scores(x)
         assert s1.tobytes() == s2.tobytes()
-
-    def test_flatten_arrays_handles_scalars(self):
-        flat = flatten_arrays([np.ones((2, 2)), np.asarray(3.0)])
-        assert flat.shape == (5,)
-        assert flat[-1] == 3.0
