@@ -51,10 +51,10 @@ def _require(doc, key: str):
 def load_checkpoint(path, expect_variant: int | None = None):
     """Rebuild a Model from a checkpoint file.
 
-    Returns (model, meta) where meta holds the standardization flag and the
-    saved provenance. Raises CheckpointError on unreadable files, version
-    mismatch, and missing, malformed, non-finite or mis-shaped fields
-    (naming the field).
+    Returns (model, meta) where meta holds the standardization flag (a JSON
+    true or false) and the saved provenance. Raises CheckpointError on
+    unreadable files, version mismatch, and missing, malformed, non-finite or
+    mis-shaped fields (naming the field).
     """
     path = Path(path)
     try:
@@ -107,8 +107,7 @@ def load_checkpoint(path, expect_variant: int | None = None):
         if not np.isfinite(data).all():
             raise CheckpointError(f"{name}: checkpoint holds non-finite values")
         arr[...] = data.reshape(arr.shape)
-    meta = {
-        "standardized": bool(doc.get("standardized", False)),
-        "provenance": doc.get("provenance", {}),
-    }
-    return model, meta
+    standardized = _require(doc, "standardized")
+    if not isinstance(standardized, bool):
+        raise CheckpointError(f"invalid field 'standardized' in checkpoint: {standardized!r} is not true or false")
+    return model, {"standardized": standardized, "provenance": doc.get("provenance", {})}

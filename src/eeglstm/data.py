@@ -102,17 +102,26 @@ def resolve_set_dir(root, set_id: str) -> Path:
 
 
 def _read_sequence(path: Path, expected_len: int) -> np.ndarray:
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise IngestionError(f"{path}: not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
     values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            text = line.strip()
-            try:
-                values.append(int(text))
-            except ValueError:
-                raise IngestionError(f"{path}:{lineno}: not an integer: {text!r}") from None
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise IngestionError(f"{path}:{lineno}: not an integer: {text!r}") from None
     if len(values) != expected_len:
         raise IngestionError(f"{path}: expected {expected_len} samples, found {len(values)}")
-    return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        # Overflow grows with magnitude, so the largest value is one that overflows.
+        lineno = 1 + max(range(len(values)), key=lambda n: abs(values[n]))
+        raise IngestionError(f"{path}:{lineno}: integer beyond float64 range") from None
 
 
 def load_bonn_set(
@@ -215,7 +224,10 @@ def gen_synthetic(
     seed: int,
     pair=("syn0", "syn1"),
 ) -> PairDataset:
-    """Deterministic surrogate corpus: amplitude*sin(2 pi f t) + Gaussian noise."""
+    """Deterministic surrogate corpus: amplitude*sin(2 pi f t) + Gaussian noise.
+
+    Raises ValueError if a generated value is not finite (float64 overflow).
+    """
     if seq_len < 2:
         raise ValueError(f"seq_len must be >= 2, got {seq_len}")
     if not 0 < sample_rate_hz < np.inf:
@@ -230,8 +242,11 @@ def gen_synthetic(
     for label, spec, name in ((0, class0, pair[0]), (1, class1, pair[1])):
         base = spec.amplitude * np.sin(2.0 * np.pi * spec.freq_hz * t)
         for i in range(n_per_class):
-            noise = rng.standard_normal(seq_len) * spec.noise_sd
-            samples.append(LabeledSequence(base + noise, label, f"{name}-{i:03d}"))
+            with np.errstate(over="ignore"):
+                values = base + rng.standard_normal(seq_len) * spec.noise_sd
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name}-{i:03d}: generated values are not finite for {spec}")
+            samples.append(LabeledSequence(values, label, f"{name}-{i:03d}"))
     return PairDataset(pair=tuple(pair), samples=tuple(samples))
 
 

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import BONN_SEQ_LEN, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
-from .errors import EegLstmError, ShapeError
+from .errors import EegLstmError
 from .layers import Model, ModelConfig, init_params
 from .metrics import MetricsReport, confusion_report
 from .optim import AdamState, TrainConfig, adam_step, bce_loss
@@ -86,10 +86,9 @@ class ExperimentResult:
 def evaluate(model: Model, data: PairDataset, threshold: float = DECISION_THRESHOLD):
     """Score a dataset in eval mode and derive metrics at the threshold.
 
-    Returns (MetricsReport, raw scores).
+    Returns (MetricsReport, raw scores). Model.scores raises ShapeError if
+    the samples' length is not the model's seq_len.
     """
-    if data.seq_len != model.config.seq_len:
-        raise ShapeError(f"samples have length {data.seq_len}, model expects {model.config.seq_len}")
     scores = model.scores(data.values())
     return confusion_report(scores, data.labels(), threshold), scores
 

@@ -4,6 +4,9 @@ backward passes (backpropagation through time).
 LSTM gate weights are stored stacked: one matrix product per time step
 computes every gate pre-activation. Column blocks are ordered input, forget,
 cell candidate, output; ``gate_bias`` gives the per-gate view of a bias.
+The forward cache holds a layer's gate activations in one (batch, time,
+4*hidden) array in the same column order: the input projection for every
+step, overwritten step by step with that step's activations.
 
 Shapes follow the batched convention (batch, time, features). A Model holds
 its parameters in one float64 vector, `params`, and its gradients in another
@@ -77,19 +80,17 @@ class LstmLayerParams:
 
 @dataclass
 class LstmLayerCache:
-    """Per-timestep activations retained for backpropagation through time.
+    """What backpropagation through time reads from one layer's forward pass.
 
-    All arrays are (batch, time, hidden) except the input x (batch, time, d)
-    and the initial states (batch, hidden).
+    gates: (batch, time, 4*hidden) activations in the stacked i, f, c, o
+    column order of the weights (sigmoid for i, f, o; tanh for the cell
+    candidate). c and h: (batch, time, hidden) cell and hidden states.
+    x: the input (batch, time, d); h0, c0: the initial states (batch, hidden).
     """
 
     x: np.ndarray
-    gate_i: np.ndarray
-    gate_f: np.ndarray
-    gate_c: np.ndarray
-    gate_o: np.ndarray
+    gates: np.ndarray
     c: np.ndarray
-    tanh_c: np.ndarray
     h: np.ndarray
     h0: np.ndarray
     c0: np.ndarray
@@ -111,42 +112,32 @@ def lstm_forward(x, params: LstmLayerParams, h0=None, c0=None) -> LstmLayerCache
     if d != params.input_dim:
         raise ShapeError(f"input feature dim {d} != layer input dim {params.input_dim}")
     hdim = params.hidden_dim
-    h_prev = np.zeros((batch, hdim)) if h0 is None else np.asarray(h0, dtype=np.float64)
-    c_prev = np.zeros((batch, hdim)) if c0 is None else np.asarray(c0, dtype=np.float64)
-    if h_prev.shape != (batch, hdim) or c_prev.shape != (batch, hdim):
+    h0 = np.zeros((batch, hdim)) if h0 is None else np.asarray(h0, dtype=np.float64)
+    c0 = np.zeros((batch, hdim)) if c0 is None else np.asarray(c0, dtype=np.float64)
+    if h0.shape != (batch, hdim) or c0.shape != (batch, hdim):
         raise ShapeError(f"initial state must be ({batch}, {hdim})")
+    sl_i, sl_f, sl_c, sl_o = (_gate_slice(g, hdim) for g in GATE_NAMES)
+    sl_if = slice(0, 2 * hdim)
 
-    sl_i = _gate_slice("i", hdim)
-    sl_f = _gate_slice("f", hdim)
-    sl_c = _gate_slice("c", hdim)
-    sl_o = _gate_slice("o", hdim)
-
-    # Input contribution for every step in one product.
-    xw = (x.reshape(batch * steps, d) @ params.kernel).reshape(batch, steps, 4 * hdim)
-
-    gi = np.empty((batch, steps, hdim))
-    gf = np.empty((batch, steps, hdim))
-    gc = np.empty((batch, steps, hdim))
-    go = np.empty((batch, steps, hdim))
+    # Input contribution for every step in one product; the loop overwrites
+    # each step's slice with that step's gate activations.
+    gates = (x.reshape(batch * steps, d) @ params.kernel).reshape(batch, steps, 4 * hdim)
     cs = np.empty((batch, steps, hdim))
-    tc = np.empty((batch, steps, hdim))
     hs = np.empty((batch, steps, hdim))
-
-    h0_arr, c0_arr = h_prev, c_prev
+    h_prev, c_prev = h0, c0
     for t in range(steps):
-        z = xw[:, t] + h_prev @ params.recurrent + params.bias
-        it = sigmoid(z[:, sl_i])
-        ft = sigmoid(z[:, sl_f])
-        gt = np.tanh(z[:, sl_c])
-        ot = sigmoid(z[:, sl_o])
+        act = gates[:, t]
+        z = act + h_prev @ params.recurrent + params.bias
+        act[:, sl_if] = sigmoid(z[:, sl_if])
+        act[:, sl_c] = np.tanh(z[:, sl_c])
+        act[:, sl_o] = sigmoid(z[:, sl_o])
+        it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
         ct = ft * c_prev + it * gt
-        tct = np.tanh(ct)
-        ht = ot * tct
-        gi[:, t], gf[:, t], gc[:, t], go[:, t] = it, ft, gt, ot
-        cs[:, t], tc[:, t], hs[:, t] = ct, tct, ht
+        ht = ot * np.tanh(ct)
+        cs[:, t], hs[:, t] = ct, ht
         h_prev, c_prev = ht, ct
 
-    return LstmLayerCache(x, gi, gf, gc, go, cs, tc, hs, h0_arr, c0_arr)
+    return LstmLayerCache(x, gates, cs, hs, h0, c0)
 
 
 def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
@@ -161,17 +152,16 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     if dh_out.shape != cache.h.shape:
         raise ShapeError(f"upstream gradient {dh_out.shape} != cached outputs {cache.h.shape}")
     batch, steps, hdim = cache.h.shape
-    sl_i = _gate_slice("i", hdim)
-    sl_f = _gate_slice("f", hdim)
-    sl_c = _gate_slice("c", hdim)
-    sl_o = _gate_slice("o", hdim)
+    sl_i, sl_f, sl_c, sl_o = (_gate_slice(g, hdim) for g in GATE_NAMES)
 
+    tanh_c = np.tanh(cache.c)
     dz = np.zeros((batch, steps, 4 * hdim))
     dh_next = np.zeros((batch, hdim))
     dc_next = np.zeros((batch, hdim))
     for t in reversed(range(steps)):
-        it, ft, gt, ot = cache.gate_i[:, t], cache.gate_f[:, t], cache.gate_c[:, t], cache.gate_o[:, t]
-        tct = cache.tanh_c[:, t]
+        act = cache.gates[:, t]
+        it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
+        tct = tanh_c[:, t]
         c_prev = cache.c0 if t == 0 else cache.c[:, t - 1]
         dh = dh_out[:, t] + dh_next
         do = dh * tct

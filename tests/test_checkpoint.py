@@ -100,13 +100,14 @@ def test_missing_model_field(model, tmp_path):
         ("params", "lstm2.recurrent", {"shape": None, "data": [0.0] * 64}, "lstm2.recurrent"),
         ("params", "dense.weights", {"shape": [4], "data": [0, float("nan"), 0, 0]}, "dense.weights.*non-finite"),
         ("params", "dense.bias", {"shape": [], "data": float("inf")}, "dense.bias.*non-finite"),
+        (None, "standardized", "false", "standardized"),
     ],
 )
 def test_malformed_field_is_checkpoint_error(model, tmp_path, section, key, value, match):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, model)
     doc = json.loads(path.read_text())
-    doc[section][key] = value
+    (doc if section is None else doc[section])[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)

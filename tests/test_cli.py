@@ -79,6 +79,8 @@ class TestUsageErrors:
             (["gradcheck", "--steps", "-3"], "--steps"),
             (["evaluate", "--checkpoint", "ckpt.json", "--synthetic", "--threshold", "nan"], "--threshold"),
             (["evaluate", "--checkpoint", "ckpt.json", "--synthetic", "--threshold", "inf"], "--threshold"),
+            (["gen-synth", "--spec", "amp=1e308,noise=1e308"], "--spec"),
+            (["train", "--synthetic", "amp=1e308,noise=1e308"], "--synthetic"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):

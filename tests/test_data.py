@@ -64,11 +64,20 @@ class TestLoader:
         with pytest.raises(IngestionError, match="expected 100 .txt files, found 99"):
             load_bonn_set(tmp_path, "A", expected_len=8)
 
-    def test_non_integer_line_names_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content,match",
+        [
+            (b"1\nx7\n3\n", r"A001\.txt:2.*'x7'"),
+            (b"1\n\xe97\n3\n", r"A001\.txt: not ASCII.*0xe9"),
+            (b"1\n" + b"9" * 400 + b"\n3\n", r"A001\.txt:2: integer beyond float64 range"),
+        ],
+        ids=["non-integer", "non-ascii", "overflow"],
+    )
+    def test_non_integer_line_names_file_and_line(self, tmp_path, content, match):
         d = tmp_path / "A"
         d.mkdir()
-        (d / "A001.txt").write_text("1\nx7\n3\n")
-        with pytest.raises(IngestionError, match=r"A001\.txt:2.*'x7'"):
+        (d / "A001.txt").write_bytes(content)
+        with pytest.raises(IngestionError, match=match):
             load_bonn_set(tmp_path, "A", expected_len=3, expected_count=1)
 
     def test_wrong_sample_count_in_file(self, tmp_path):
@@ -225,6 +234,8 @@ class TestSynthetic:
             ToneSpec(-1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             ToneSpec(1.0, 1.0, -0.1)
+        with pytest.raises(ValueError, match="not finite"):
+            gen_synthetic(ToneSpec(2, 1e308, 1e308), good, 5, 32, 64.0, seed=0)  # overflows float64
 
 
 class TestStandardize:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,10 +120,11 @@ class TestLstmCell:
         cache = run_scalar([3.7], scalar_params())
         assert cache.h[0, 0, 0] == 0.0 and cache.c[0, 0, 0] == 0.0
         # gates sit at sigmoid(0) = 0.5, candidate at tanh(0) = 0
-        assert cache.gate_i[0, 0, 0] == 0.5
-        assert cache.gate_f[0, 0, 0] == 0.5
-        assert cache.gate_o[0, 0, 0] == 0.5
-        assert cache.gate_c[0, 0, 0] == 0.0
+        gate_i, gate_f, gate_c, gate_o = cache.gates[0, 0]
+        assert gate_i == 0.5
+        assert gate_f == 0.5
+        assert gate_o == 0.5
+        assert gate_c == 0.0
 
     def test_candidate_bias_case(self):
         # weights zero, b_c = 1 so the candidate is tanh(1), zero prev state
@@ -213,9 +215,10 @@ class TestLstmSequence:
         )
         cache = lstm_forward(rng.uniform(-5, 5, (2, steps, 1)), params)
         assert np.all(np.abs(cache.h) < 1.0)
-        assert np.all(cache.gate_i > 0.0) and np.all(cache.gate_i < 1.0)
-        assert np.all(cache.gate_f > 0.0) and np.all(cache.gate_f < 1.0)
-        assert np.all(cache.gate_o > 0.0) and np.all(cache.gate_o < 1.0)
+        gate_i, gate_f, _, gate_o = np.split(cache.gates, 4, axis=-1)
+        assert np.all(gate_i > 0.0) and np.all(gate_i < 1.0)
+        assert np.all(gate_f > 0.0) and np.all(gate_f < 1.0)
+        assert np.all(gate_o > 0.0) and np.all(gate_o < 1.0)
 
 
 class TestNaiveReference:
@@ -442,6 +445,26 @@ class TestModel:
             assert not np.array_equal(model.scores(x), before)
             model.params[-1] = 2.0  # and a write to params reaches the blocks
             assert model.dense.bias == 2.0
+
+    def test_layer_cache_holds_only_what_backward_reads(self):
+        model = init_params(ModelConfig(variant=2, seq_len=7, hidden_sizes=(5, 3)), 0)
+        _, cache = model.forward(np.random.default_rng(0).standard_normal((4, 7)))
+        for lcache, d, h in zip(cache.lstm_caches, (1, 5), (5, 3)):
+            assert [f.name for f in dataclasses.fields(lcache)] == ["x", "gates", "c", "h", "h0", "c0"]
+            assert lcache.x.shape == (4, 7, d)
+            assert lcache.gates.shape == (4, 7, 4 * h)
+            assert lcache.c.shape == lcache.h.shape == (4, 7, h)
+            assert lcache.h0.shape == lcache.c0.shape == (4, h)
+
+    def test_backward_leaves_cache_unchanged(self):
+        model = init_params(ModelConfig(variant=2, seq_len=7, hidden_sizes=(5, 3)), 0)
+        x = np.random.default_rng(0).standard_normal((4, 7))
+        probs, cache = model.forward(x, train=True, rng=np.random.default_rng(1))
+        arrays = [getattr(lc, f.name) for lc in cache.lstm_caches for f in dataclasses.fields(lc)]
+        arrays += cache.dropout_masks + [cache.pre_dense, cache.probs]
+        before = [a.tobytes() for a in arrays]
+        model.backward(cache, probs - 0.5)
+        assert [a.tobytes() for a in arrays] == before
 
     def test_eval_forward_ignores_dropout(self):
         config = ModelConfig(variant=2, seq_len=8, hidden_sizes=(5, 3))
