@@ -27,7 +27,7 @@ def save_checkpoint(path, model: Model, standardized: bool = False, provenance: 
             "variant": cfg.variant,
             "hidden_sizes": list(cfg.hidden_sizes),
             "dropout_prob": cfg.dropout_prob,
-            "input_dim": cfg.input_dim,
+            "input_dim": 1,
             "seq_len": cfg.seq_len,
         },
         "standardized": bool(standardized),
@@ -66,14 +66,17 @@ def load_checkpoint(path, expect_variant: int | None = None):
         raise CheckpointError(f"unreadable checkpoint {path}: not a JSON object")
 
     version = _require(doc, "format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported format_version {version}, expected {FORMAT_VERSION}")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
     info = _require(doc, "model")
+    # Input is always single-channel; the field is kept so the format is unchanged.
+    input_dim = _require(info, "input_dim")
+    if type(input_dim) is not int or input_dim != 1:
+        raise CheckpointError(f"invalid model field 'input_dim' in checkpoint: {input_dim!r}, expected 1")
     casts = {
         "variant": int,
         "hidden_sizes": lambda sizes: tuple(map(int, sizes)),
         "dropout_prob": float,
-        "input_dim": int,
         "seq_len": int,
     }
     fields = {}
@@ -110,4 +113,7 @@ def load_checkpoint(path, expect_variant: int | None = None):
     standardized = _require(doc, "standardized")
     if not isinstance(standardized, bool):
         raise CheckpointError(f"invalid field 'standardized' in checkpoint: {standardized!r} is not true or false")
-    return model, {"standardized": standardized, "provenance": doc.get("provenance", {})}
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise CheckpointError(f"invalid field 'provenance' in checkpoint: {provenance!r} is not an object")
+    return model, {"standardized": standardized, "provenance": provenance}

@@ -230,6 +230,9 @@ def cmd_reproduce(args, parser) -> int:
 
 def cmd_gen_synth(args, parser) -> int:
     spec = _parse_synth_spec(args.spec, parser, flag="--spec")
+    if spec["n"] != datamod.BONN_SET_SIZE:
+        # --data loads exactly BONN_SET_SIZE files per set, so any other n is unloadable.
+        parser.error(f"--spec: n must be {datamod.BONN_SET_SIZE} (files per on-disk set), got {spec['n']}")
     seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if args.seq_len is None else args.seq_len
     set_names = _parse_pair(args.sets, parser)
     _print_config(
@@ -266,7 +269,6 @@ def cmd_gradcheck(args, parser) -> int:
         seq_lens=seq_lens,
         variants=variants,
         seed=args.seed,
-        perturb=args.perturb,
     )
     all_ok = True
     for case in reports:
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=cmd_reproduce)
 
     gen = subs.add_parser("gen-synth", help="write a synthetic surrogate corpus in the on-disk format")
-    gen.add_argument("--spec", default="default", help="'default' or key=value list (values rounded to ints on disk)")
+    gen.add_argument("--spec", default="default", help="'default' or key=value list (n must be 100; values rounded to ints on disk)")
     gen.add_argument("--seq-len", type=_pos_int, dest="seq_len")
     gen.add_argument("--seed", type=_nonneg_int, default=0)
     gen.add_argument("--sets", default="A,E", help="set names for the two class directories (default A,E)")
@@ -362,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--steps", type=_pos_int, help="sequence length (default: 5 and 20)")
     grad.add_argument("--model", type=int, choices=(1, 2), help="variant (default: both)")
     grad.add_argument("--seed", type=_nonneg_int, default=0)
-    grad.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     grad.set_defaults(func=cmd_gradcheck)
 
     return parser

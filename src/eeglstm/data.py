@@ -103,17 +103,23 @@ def resolve_set_dir(root, set_id: str) -> Path:
 
 def _read_sequence(path: Path, expected_len: int) -> np.ndarray:
     try:
-        lines = path.read_text(encoding="ascii").splitlines()
+        text = path.read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise IngestionError(f"{path}: not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
+    lines = text.splitlines()
     values = []
     for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
+        item = line.strip()
         try:
-            values.append(int(text))
+            values.append(int(item))
         except ValueError:
-            raise IngestionError(f"{path}:{lineno}: not an integer: {text!r}") from None
+            raise IngestionError(f"{path}:{lineno}: not an integer: {item!r}") from None
+    if "_" in text or "+" in text:
+        # int() also takes digit separators and a plus sign, which the format
+        # does not; the line is looked for only after this one scan fails.
+        lineno = next(n for n, line in enumerate(lines, start=1) if "_" in line or "+" in line)
+        raise IngestionError(f"{path}:{lineno}: not an integer: {lines[lineno - 1].strip()!r}")
     if len(values) != expected_len:
         raise IngestionError(f"{path}: expected {expected_len} samples, found {len(values)}")
     try:
@@ -222,9 +228,10 @@ def gen_synthetic(
     seq_len: int,
     sample_rate_hz: float,
     seed: int,
-    pair=("syn0", "syn1"),
 ) -> PairDataset:
     """Deterministic surrogate corpus: amplitude*sin(2 pi f t) + Gaussian noise.
+
+    The two sets are named syn0 (class 0) and syn1 (class 1).
 
     Raises ValueError if a generated value is not finite (float64 overflow).
     """
@@ -238,6 +245,7 @@ def gen_synthetic(
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     t = np.arange(seq_len, dtype=np.float64) / float(sample_rate_hz)
     rng = np.random.default_rng(int(seed))
+    pair = ("syn0", "syn1")
     samples = []
     for label, spec, name in ((0, class0, pair[0]), (1, class1, pair[1])):
         base = spec.amplitude * np.sin(2.0 * np.pi * spec.freq_hz * t)
@@ -247,7 +255,7 @@ def gen_synthetic(
             if not np.isfinite(values).all():
                 raise ValueError(f"{name}-{i:03d}: generated values are not finite for {spec}")
             samples.append(LabeledSequence(values, label, f"{name}-{i:03d}"))
-    return PairDataset(pair=tuple(pair), samples=tuple(samples))
+    return PairDataset(pair=pair, samples=tuple(samples))
 
 
 def standardize_dataset(ds: PairDataset) -> PairDataset:

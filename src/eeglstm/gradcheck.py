@@ -12,6 +12,7 @@ from .optim import bce_loss
 
 REL_TOL = 1e-5
 FD_EPS = 1e-5
+BATCH = 3  # sequences per case
 
 # Denominator floor for the relative error. A central difference of an O(1)
 # loss at eps=1e-5 carries ~|f|*ulp/eps ~ 1.5e-11 absolute noise (observed up
@@ -38,8 +39,8 @@ class CaseReport:
         return self.max_rel_err < tol
 
 
-def relative_errors(analytic, numeric, floor: float = DENOM_FLOOR) -> np.ndarray:
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+def relative_errors(analytic, numeric) -> np.ndarray:
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), DENOM_FLOOR)
     return np.abs(analytic - numeric) / denom
 
 
@@ -48,8 +49,9 @@ def _mean_loss(model: Model, x, y) -> float:
     return float(np.mean(losses))
 
 
-def numeric_gradient(model: Model, x, y, eps: float = FD_EPS) -> np.ndarray:
-    """Central finite differences of the mean BCE loss over all parameters.
+def numeric_gradient(model: Model, x, y) -> np.ndarray:
+    """Central finite differences (step FD_EPS) of the mean BCE loss over all
+    parameters.
 
     Perturbs model.params one entry at a time, in place, and restores it.
     """
@@ -57,51 +59,34 @@ def numeric_gradient(model: Model, x, y, eps: float = FD_EPS) -> np.ndarray:
     grad = np.empty_like(params)
     for i in range(params.size):
         base = params[i]
-        params[i] = base + eps
+        params[i] = base + FD_EPS
         f_plus = _mean_loss(model, x, y)
-        params[i] = base - eps
+        params[i] = base - FD_EPS
         f_minus = _mean_loss(model, x, y)
         params[i] = base
-        grad[i] = (f_plus - f_minus) / (2.0 * eps)
+        grad[i] = (f_plus - f_minus) / (2.0 * FD_EPS)
     return grad
 
 
-def analytic_gradient(model: Model, x, y, perturb: float = 0.0) -> np.ndarray:
-    """Backward-pass gradients of the mean BCE loss (flat).
-
-    `perturb` deliberately corrupts the lstm1.kernel block; it exists so
-    negative-control tests can prove the checker catches a broken backward
-    pass.
-    """
+def analytic_gradient(model: Model, x, y) -> np.ndarray:
+    """Backward-pass gradients of the mean BCE loss (flat)."""
     probs, cache = model.forward(x, train=False)
     _, dloss = bce_loss(probs, y)
     model.backward(cache, dloss / len(y))
-    grad = model.grad.copy()
-    if perturb:
-        kernel = model.blocks(grad)["lstm1.kernel"]
-        kernel[...] = kernel * (1.0 + perturb) + perturb
-    return grad
+    return model.grad.copy()
 
 
-def check_model(model: Model, x, y, eps: float = FD_EPS, perturb: float = 0.0):
+def check_model(model: Model, x, y):
     """Compare analytic and numeric gradients block by block."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    analytic = analytic_gradient(model, x, y, perturb=perturb)
-    numeric = numeric_gradient(model, x, y, eps=eps)
+    analytic = analytic_gradient(model, x, y)
+    numeric = numeric_gradient(model, x, y)
     errs = model.blocks(relative_errors(analytic, numeric))
     return [BlockReport(name=name, max_rel_err=float(block.max())) for name, block in errs.items()]
 
 
-def run_gradcheck(
-    hidden_sizes=(4, 8),
-    seq_lens=(5, 20),
-    variants=(1, 2),
-    seed: int = 0,
-    batch: int = 3,
-    eps: float = FD_EPS,
-    perturb: float = 0.0,
-):
+def run_gradcheck(hidden_sizes=(4, 8), seq_lens=(5, 20), variants=(1, 2), seed: int = 0):
     """Run the finite-difference suite over a grid of model shapes.
 
     Variant 2 cases use stacked hidden sizes (2h, h). Dropout stays in eval
@@ -114,9 +99,9 @@ def run_gradcheck(
         hidden = (h,) if variant == 1 else (2 * h, h)
         config = ModelConfig(variant=variant, seq_len=steps, hidden_sizes=hidden)
         model = init_params(config, int(rng.integers(2**63)))
-        x = rng.standard_normal((batch, steps))
-        y = (np.arange(batch) % 2).astype(np.float64)
-        blocks = check_model(model, x, y, eps=eps, perturb=perturb)
+        x = rng.standard_normal((BATCH, steps))
+        y = (np.arange(BATCH) % 2).astype(np.float64)
+        blocks = check_model(model, x, y)
         reports.append(
             CaseReport(
                 description=f"variant={variant} hidden={hidden} steps={steps}",

@@ -287,35 +287,19 @@ def _fmt_auc(x) -> str:
     return "NA" if x is None else f"{x:.4f}"
 
 
+def _format_row(label: str, model: str, values: dict):
+    """One results.csv row: percentages to two decimals, AUC to four."""
+    return [label, model] + [(_fmt_auc if key == "auc" else _fmt_pct)(values[key]) for key in AGGREGATE_KEYS]
+
+
 def results_row(result: ExperimentResult):
-    a = result.aggregate
-    return [
-        "/".join(result.pair),
-        str(result.variant),
-        _fmt_pct(a["val_accuracy"]),
-        _fmt_pct(a["test_accuracy"]),
-        _fmt_pct(a["sensitivity"]),
-        _fmt_pct(a["specificity"]),
-        _fmt_pct(a["precision"]),
-        _fmt_auc(a["auc"]),
-    ]
+    return _format_row("/".join(result.pair), str(result.variant), result.aggregate)
 
 
 def average_row(results):
     """Column-wise mean over pairs, mirroring the summary line of the table."""
-    means = {}
-    for key in AGGREGATE_KEYS:
-        means[key], _ = _mean_defined([r.aggregate[key] for r in results])
-    return [
-        "average",
-        "",
-        _fmt_pct(means["val_accuracy"]),
-        _fmt_pct(means["test_accuracy"]),
-        _fmt_pct(means["sensitivity"]),
-        _fmt_pct(means["specificity"]),
-        _fmt_pct(means["precision"]),
-        _fmt_auc(means["auc"]),
-    ]
+    means = {key: _mean_defined([r.aggregate[key] for r in results])[0] for key in AGGREGATE_KEYS}
+    return _format_row("average", "", means)
 
 
 def write_results_csv(path, results, include_average: bool = False) -> None:

@@ -8,9 +8,11 @@ The forward cache holds a layer's gate activations in one (batch, time,
 4*hidden) array in the same column order: the input projection for every
 step, overwritten step by step with that step's activations.
 
-Shapes follow the batched convention (batch, time, features). A Model holds
-its parameters in one float64 vector, `params`, and its gradients in another
-of the same layout, `grad`; `Model.blocks` views either as named blocks.
+Shapes follow the batched convention (batch, time, features). A Model takes
+single-channel input, (batch, time), so its first layer sees one feature;
+every layer starts from a zero state. A Model holds its parameters in one
+float64 vector, `params`, and its gradients in another of the same layout,
+`grad`; `Model.blocks` views either as named blocks.
 """
 
 from __future__ import annotations
@@ -85,23 +87,21 @@ class LstmLayerCache:
     gates: (batch, time, 4*hidden) activations in the stacked i, f, c, o
     column order of the weights (sigmoid for i, f, o; tanh for the cell
     candidate). c and h: (batch, time, hidden) cell and hidden states.
-    x: the input (batch, time, d); h0, c0: the initial states (batch, hidden).
+    x: the input (batch, time, d). The initial states are zero.
     """
 
     x: np.ndarray
     gates: np.ndarray
     c: np.ndarray
     h: np.ndarray
-    h0: np.ndarray
-    c0: np.ndarray
 
 
-def lstm_forward(x, params: LstmLayerParams, h0=None, c0=None) -> LstmLayerCache:
-    """Run one LSTM layer over a batch of sequences.
+def lstm_forward(x, params: LstmLayerParams) -> LstmLayerCache:
+    """Run one LSTM layer over a batch of sequences from a zero state.
 
-    x: (batch, time, input_dim). Initial states default to zeros. Gate
-    dynamics per step: i,f,o = sigmoid(gates), g = tanh(candidate),
-    c = f*c_prev + i*g, h = o*tanh(c).
+    x: (batch, time, input_dim). Gate dynamics per step: i,f,o =
+    sigmoid(gates), g = tanh(candidate), c = f*c_prev + i*g, h = o*tanh(c),
+    with h and c zero before the first step.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -112,10 +112,6 @@ def lstm_forward(x, params: LstmLayerParams, h0=None, c0=None) -> LstmLayerCache
     if d != params.input_dim:
         raise ShapeError(f"input feature dim {d} != layer input dim {params.input_dim}")
     hdim = params.hidden_dim
-    h0 = np.zeros((batch, hdim)) if h0 is None else np.asarray(h0, dtype=np.float64)
-    c0 = np.zeros((batch, hdim)) if c0 is None else np.asarray(c0, dtype=np.float64)
-    if h0.shape != (batch, hdim) or c0.shape != (batch, hdim):
-        raise ShapeError(f"initial state must be ({batch}, {hdim})")
     sl_i, sl_f, sl_c, sl_o = (_gate_slice(g, hdim) for g in GATE_NAMES)
     sl_if = slice(0, 2 * hdim)
 
@@ -124,7 +120,7 @@ def lstm_forward(x, params: LstmLayerParams, h0=None, c0=None) -> LstmLayerCache
     gates = (x.reshape(batch * steps, d) @ params.kernel).reshape(batch, steps, 4 * hdim)
     cs = np.empty((batch, steps, hdim))
     hs = np.empty((batch, steps, hdim))
-    h_prev, c_prev = h0, c0
+    h_prev = c_prev = np.zeros((batch, hdim))
     for t in range(steps):
         act = gates[:, t]
         z = act + h_prev @ params.recurrent + params.bias
@@ -137,7 +133,7 @@ def lstm_forward(x, params: LstmLayerParams, h0=None, c0=None) -> LstmLayerCache
         cs[:, t], hs[:, t] = ct, ht
         h_prev, c_prev = ht, ct
 
-    return LstmLayerCache(x, gates, cs, hs, h0, c0)
+    return LstmLayerCache(x, gates, cs, hs)
 
 
 def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
@@ -155,6 +151,7 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     sl_i, sl_f, sl_c, sl_o = (_gate_slice(g, hdim) for g in GATE_NAMES)
 
     tanh_c = np.tanh(cache.c)
+    zero = np.zeros((batch, hdim))
     dz = np.zeros((batch, steps, 4 * hdim))
     dh_next = np.zeros((batch, hdim))
     dc_next = np.zeros((batch, hdim))
@@ -162,7 +159,7 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
         act = cache.gates[:, t]
         it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
         tct = tanh_c[:, t]
-        c_prev = cache.c0 if t == 0 else cache.c[:, t - 1]
+        c_prev = zero if t == 0 else cache.c[:, t - 1]
         dh = dh_out[:, t] + dh_next
         do = dh * tct
         dc = dc_next + dh * ot * (1.0 - tct**2)
@@ -175,7 +172,7 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
 
     flat_dz = dz.reshape(batch * steps, 4 * hdim)
     dkernel = cache.x.reshape(batch * steps, -1).T @ flat_dz
-    h_prev_all = np.concatenate([cache.h0[:, None, :], cache.h[:, :-1]], axis=1)
+    h_prev_all = np.concatenate([zero[:, None, :], cache.h[:, :-1]], axis=1)
     drecurrent = h_prev_all.reshape(batch * steps, hdim).T @ flat_dz
     dbias = flat_dz.sum(axis=0)
     dx = (flat_dz @ params.kernel.T).reshape(cache.x.shape)
@@ -228,7 +225,6 @@ class ModelConfig:
     seq_len: int = BONN_SEQ_LEN
     hidden_sizes: tuple = ()
     dropout_prob: float | None = None
-    input_dim: int = 1
 
     def __post_init__(self):
         if self.variant not in (1, 2):
@@ -248,13 +244,13 @@ class ModelConfig:
             raise ValueError(f"hidden sizes must be positive, got {self.hidden_sizes}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
-        if self.seq_len < 1 or self.input_dim < 1:
-            raise ValueError(f"seq_len and input_dim must be >= 1, got {self.seq_len}, {self.input_dim}")
+        if self.seq_len < 1:
+            raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
 
 
 def _layout(config: ModelConfig):
     """(name, shape) of every parameter block, in storage order."""
-    table, d = [], config.input_dim
+    table, d = [], 1
     for n, h in enumerate(config.hidden_sizes, start=1):
         table += [(f"lstm{n}.kernel", (d, 4 * h)), (f"lstm{n}.recurrent", (h, 4 * h)), (f"lstm{n}.bias", (4 * h,))]
         d = h
@@ -355,16 +351,13 @@ class Model:
         return list(self.blocks(self.params).values())
 
     def _as_batch(self, x) -> np.ndarray:
+        """(batch, time) single-channel input as the first layer's (batch, time, 1)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[:, :, None]
-        if x.ndim != 3:
-            raise ShapeError(f"input must be (batch, time) or (batch, time, d), got {x.shape}")
+        if x.ndim != 2:
+            raise ShapeError(f"input must be (batch, time), got {x.shape}")
         if x.shape[1] != self.config.seq_len:
             raise ShapeError(f"sequence length {x.shape[1]} != configured {self.config.seq_len}")
-        if x.shape[2] != self.config.input_dim:
-            raise ShapeError(f"input dim {x.shape[2]} != configured {self.config.input_dim}")
-        return x
+        return x[:, :, None]
 
     def forward(self, x, train: bool = False, rng=None):
         """Forward pass over a batch. Returns (probs, cache).

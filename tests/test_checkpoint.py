@@ -101,6 +101,11 @@ def test_missing_model_field(model, tmp_path):
         ("params", "dense.weights", {"shape": [4], "data": [0, float("nan"), 0, 0]}, "dense.weights.*non-finite"),
         ("params", "dense.bias", {"shape": [], "data": float("inf")}, "dense.bias.*non-finite"),
         (None, "standardized", "false", "standardized"),
+        (None, "format_version", True, "format_version"),
+        (None, "format_version", 1.0, "format_version"),
+        (None, "provenance", [1, 2], "provenance"),
+        ("model", "input_dim", 3, "input_dim"),
+        ("model", "input_dim", True, "input_dim"),
     ],
 )
 def test_malformed_field_is_checkpoint_error(model, tmp_path, section, key, value, match):

@@ -81,6 +81,7 @@ class TestUsageErrors:
             (["evaluate", "--checkpoint", "ckpt.json", "--synthetic", "--threshold", "inf"], "--threshold"),
             (["gen-synth", "--spec", "amp=1e308,noise=1e308"], "--spec"),
             (["train", "--synthetic", "amp=1e308,noise=1e308"], "--synthetic"),
+            (["gen-synth", "--spec", "n=10"], "--spec"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
@@ -149,16 +150,16 @@ class TestGenSynth:
     def test_writes_loadable_corpus(self, tmp_path, capsys):
         out = tmp_path / "synth"
         code = run([
-            "gen-synth", "--spec", "amp=300,noise=10,n=10", "--seq-len", "16",
+            "gen-synth", "--spec", "amp=300,noise=10", "--seq-len", "4097",
             "--out", str(out), "--seed", "5",
         ])
         assert code == 0
         assert sorted(p.name for p in out.iterdir()) == ["A", "E"]
-        assert len(list((out / "A").glob("*.txt"))) == 10
+        assert len(list((out / "A").glob("*.txt"))) == 100
         from eeglstm.data import load_bonn_set
 
-        rec = load_bonn_set(out, "A", expected_len=16, expected_count=10)
-        assert len(rec.sequences) == 10
+        rec = load_bonn_set(out, "A")  # the loader's defaults: 100 files of 4097 lines
+        assert len(rec.sequences) == 100
 
 
 class TestGradcheckCommand:
@@ -173,9 +174,8 @@ class TestGradcheckCommand:
         code = run(["gradcheck", "--hidden", "8", "--steps", "20", "--model", "1"])
         assert code == 0
 
-    def test_perturbed_backward_exits_one(self, capsys):
-        code = run(["gradcheck", "--hidden", "4", "--steps", "5", "--model", "1",
-                    "--perturb", "0.01"])
+    def test_perturbed_backward_exits_one(self, corrupt_kernel_gradient, capsys):
+        code = run(["gradcheck", "--hidden", "4", "--steps", "5", "--model", "1"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
 

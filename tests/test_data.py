@@ -70,8 +70,10 @@ class TestLoader:
             (b"1\nx7\n3\n", r"A001\.txt:2.*'x7'"),
             (b"1\n\xe97\n3\n", r"A001\.txt: not ASCII.*0xe9"),
             (b"1\n" + b"9" * 400 + b"\n3\n", r"A001\.txt:2: integer beyond float64 range"),
+            (b"1\n1_000\n3\n", r"A001\.txt:2.*'1_000'"),
+            (b"1\n-2\r\n +5 \n", r"A001\.txt:3.*'\+5'"),
         ],
-        ids=["non-integer", "non-ascii", "overflow"],
+        ids=["non-integer", "non-ascii", "overflow", "digit-separator", "plus-sign"],
     )
     def test_non_integer_line_names_file_and_line(self, tmp_path, content, match):
         d = tmp_path / "A"

@@ -19,9 +19,10 @@ def test_small_grid_passes():
         assert case.passed(), f"{case.description}: {case.max_rel_err}"
 
 
-def test_perturbed_backward_is_caught():
-    reports = run_gradcheck(hidden_sizes=(4,), seq_lens=(5,), variants=(1,), perturb=1e-2)
+def test_perturbed_backward_is_caught(corrupt_kernel_gradient):
+    reports = run_gradcheck(hidden_sizes=(4,), seq_lens=(5,), variants=(1,))
     assert not reports[0].passed()
+    assert [b.name for b in reports[0].blocks if b.max_rel_err >= REL_TOL] == ["lstm1.kernel"]
 
 
 def test_block_names_cover_all_parameters():

@@ -209,7 +209,8 @@ class TestArtifacts:
     def test_results_csv_format(self, result, tmp_path):
         path = tmp_path / "results.csv"
         write_results_csv(path, [result])
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == list(RESULTS_HEADER)
         assert rows[1][0] == "syn0/syn1"
         assert rows[1][1] == "1"
@@ -220,14 +221,16 @@ class TestArtifacts:
     def test_average_row(self, result, tmp_path):
         path = tmp_path / "results.csv"
         write_results_csv(path, [result, result], include_average=True)
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[-1][0] == "average"
         assert rows[-1][2] == results_row(result)[2]
 
     def test_curves_csv_format(self, result, tmp_path):
         path = tmp_path / "curves.csv"
         write_curves_csv(path, result.curves)
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == list(CURVES_HEADER)
         assert len(rows) == 1 + 2 * 2  # 2 folds x 2 epochs
         assert rows[1][0] == "0" and rows[1][1] == "1"

@@ -43,19 +43,18 @@ def scalar_cell_oracle(x, h_prev, c_prev, w, u, b):
     return h, c
 
 
-def run_scalar(xs, params, h0=0.0, c0=0.0):
+def run_scalar(xs, params):
     """lstm_forward on one d=1 sequence; returns the (1, T, 1)-shaped cache."""
-    x = np.asarray(xs, dtype=np.float64).reshape(1, -1, 1)
-    h_dim = params.recurrent.shape[0]
-    return lstm_forward(x, params, h0=np.full((1, h_dim), h0), c0=np.full((1, h_dim), c0))
+    return lstm_forward(np.asarray(xs, dtype=np.float64).reshape(1, -1, 1), params)
 
 
-def naive_lstm(x, layer, h0=None, c0=None):
+def naive_lstm(x, layer):
     """Reference LSTM layer written from the gate equations.
 
     Independent of lstm_forward: per-gate weight slices, one sample and one
-    step at a time, sigmoid as 1/(1+exp(-z)). x is (batch, time, d); returns
-    the hidden and cell states, each (batch, time, hidden).
+    step at a time from a zero state, sigmoid as 1/(1+exp(-z)). x is
+    (batch, time, d); returns the hidden and cell states, each
+    (batch, time, hidden).
     """
     batch, steps, _ = x.shape
     hdim = layer.recurrent.shape[0]
@@ -67,8 +66,7 @@ def naive_lstm(x, layer, h0=None, c0=None):
     hs = np.empty((batch, steps, hdim))
     cs = np.empty((batch, steps, hdim))
     for n in range(batch):
-        h = np.zeros(hdim) if h0 is None else h0[n]
-        c = np.zeros(hdim) if c0 is None else c0[n]
+        h, c = np.zeros(hdim), np.zeros(hdim)
         for t in range(steps):
             pre = {g: x[n, t] @ w[g] + h @ u[g] + b[g] for g in "ifco"}
             i, f, o = logistic(pre["i"]), logistic(pre["f"]), logistic(pre["o"])
@@ -138,14 +136,20 @@ class TestLstmCell:
         assert h == pytest.approx(0.181700, abs=1e-6)
 
     def test_forget_bias_carries_cell_state(self):
-        cache = run_scalar([-2.0], scalar_params(b_f=1.0), h0=0.0, c0=1.0)
-        c, h = cache.c[0, 0, 0], cache.h[0, 0, 0]
-        c_expect = scalar_sigmoid(1.0) * 1.0
+        # step 1 writes the cell through the candidate (w_c = 1, x = 1); step 2
+        # (x = 0, candidate tanh(0) = 0) only carries it, scaled by sigmoid(b_f)
+        params = scalar_params(b_f=1.0)
+        params.kernel[0, 2] = 1.0
+        cache = run_scalar([1.0, 0.0], params)
+        c1 = 0.5 * math.tanh(1.0)
+        c, h = cache.c[0, 1, 0], cache.h[0, 1, 0]
+        c_expect = scalar_sigmoid(1.0) * c1
         h_expect = 0.5 * math.tanh(c_expect)
+        assert cache.c[0, 0, 0] == pytest.approx(c1, abs=1e-15)
         assert c == pytest.approx(c_expect, abs=1e-15)
         assert h == pytest.approx(h_expect, abs=1e-15)
-        assert c == pytest.approx(0.731059, abs=1e-6)
-        assert h == pytest.approx(0.311856, abs=1e-6)
+        assert c == pytest.approx(0.278385, abs=1e-6)
+        assert h == pytest.approx(0.135705, abs=1e-6)
 
     def test_matches_closed_form_with_random_scalars(self):
         rng = np.random.default_rng(5)
@@ -155,35 +159,23 @@ class TestLstmCell:
             recurrent=np.array([[u["i"], u["f"], u["c"], u["o"]]]),
             bias=np.array([b["i"], b["f"], b["c"], b["o"]]),
         )
-        x, h0, c0 = 0.7, 0.2, -0.4
-        cache = run_scalar([x], params, h0=h0, c0=c0)
-        h_expect, c_expect = scalar_cell_oracle(x, h0, c0, w, u, b)
-        assert cache.h[0, 0, 0] == pytest.approx(h_expect, abs=1e-14)
-        assert cache.c[0, 0, 0] == pytest.approx(c_expect, abs=1e-14)
+        # the second step starts from the non-zero state the first one left
+        h, c = 0.0, 0.0
+        cache = run_scalar([-1.3, 0.7], params)
+        for t, x in enumerate((-1.3, 0.7)):
+            h, c = scalar_cell_oracle(x, h, c, w, u, b)
+            assert cache.h[0, t, 0] == pytest.approx(h, abs=1e-14)
+            assert cache.c[0, t, 0] == pytest.approx(c, abs=1e-14)
+        assert h != 0.0 and c != 0.0
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             lstm_forward(np.zeros((1, 1, 2)), scalar_params())  # input dim 2 != 1
         with pytest.raises(ShapeError):
-            lstm_forward(np.zeros((1, 1, 1)), scalar_params(), h0=np.zeros((1, 3)))
-        with pytest.raises(ShapeError):
             lstm_forward(np.zeros((1, 1)), scalar_params())  # no feature axis
 
 
 class TestLstmSequence:
-    def test_single_step_equals_cell_bitwise(self):
-        # stepping one cell at a time, carrying (h, c), reproduces the run
-        rng = np.random.default_rng(1)
-        params = LstmLayerParams(rng.normal(size=(1, 8)), rng.normal(size=(2, 8)), rng.normal(size=8))
-        x = rng.normal(size=(1, 5, 1))
-        full = lstm_forward(x, params)
-        h, c = np.zeros((1, 2)), np.zeros((1, 2))
-        for t in range(5):
-            step = lstm_forward(x[:, t : t + 1], params, h0=h, c0=c)
-            h, c = step.h[:, 0], step.c[:, 0]
-            assert h.tobytes() == full.h[:, t].tobytes()
-            assert c.tobytes() == full.c[:, t].tobytes()
-
     def test_all_zero_params_zero_output(self):
         params = LstmLayerParams(np.zeros((1, 12)), np.zeros((3, 12)), np.zeros(12))
         cache = lstm_forward(np.ones((1, 5, 1)), params)
@@ -229,9 +221,8 @@ class TestNaiveReference:
             rng.uniform(-1, 1, (d, 4 * hdim)), rng.uniform(-1, 1, (hdim, 4 * hdim)), rng.uniform(-1, 1, 4 * hdim)
         )
         x = rng.standard_normal((3, 7, d))
-        h0, c0 = rng.uniform(-1, 1, (3, hdim)), rng.uniform(-2, 2, (3, hdim))
-        cache = lstm_forward(x, params, h0=h0, c0=c0)
-        h_ref, c_ref = naive_lstm(x, params, h0, c0)
+        cache = lstm_forward(x, params)
+        h_ref, c_ref = naive_lstm(x, params)
         np.testing.assert_allclose(cache.h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache.c, c_ref, rtol=0, atol=1e-12)
 
@@ -388,6 +379,8 @@ class TestModel:
         model = init_params(ModelConfig(variant=1, seq_len=12, hidden_sizes=(4,)), 0)
         with pytest.raises(ShapeError):
             model.forward(np.zeros((2, 11)))
+        with pytest.raises(ShapeError):  # input is single-channel (batch, time)
+            model.forward(np.zeros((2, 12, 1)))
 
     def test_zero_upstream_gradient_gives_zero_grads(self):
         model = init_params(ModelConfig(variant=1, seq_len=6, hidden_sizes=(4,)), 0)
@@ -450,11 +443,10 @@ class TestModel:
         model = init_params(ModelConfig(variant=2, seq_len=7, hidden_sizes=(5, 3)), 0)
         _, cache = model.forward(np.random.default_rng(0).standard_normal((4, 7)))
         for lcache, d, h in zip(cache.lstm_caches, (1, 5), (5, 3)):
-            assert [f.name for f in dataclasses.fields(lcache)] == ["x", "gates", "c", "h", "h0", "c0"]
+            assert [f.name for f in dataclasses.fields(lcache)] == ["x", "gates", "c", "h"]
             assert lcache.x.shape == (4, 7, d)
             assert lcache.gates.shape == (4, 7, 4 * h)
             assert lcache.c.shape == lcache.h.shape == (4, 7, h)
-            assert lcache.h0.shape == lcache.c0.shape == (4, h)
 
     def test_backward_leaves_cache_unchanged(self):
         model = init_params(ModelConfig(variant=2, seq_len=7, hidden_sizes=(5, 3)), 0)
