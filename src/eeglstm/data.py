@@ -6,11 +6,15 @@ plain-text files (.txt/.TXT), each with one ASCII integer per line. Loading
 applies no scaling, filtering or resampling: loaded values equal file values
 exactly. Optional per-sequence standardization is a separate, explicitly
 flagged step.
+
+A PairDataset holds its recordings as one (2n, T) float64 array: rows 0..n-1
+are the first set, rows n..2n-1 the second. Labels are given by position
+(0 for the first set, 1 for the second), so no per-sample record is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,51 +34,40 @@ VAL_FRACTION_TENTHS = 2
 
 
 @dataclass(frozen=True)
-class LabeledSequence:
-    """One recording with a binary label and its provenance id."""
-
-    values: np.ndarray
-    label: int
-    source_id: str
-
-
-@dataclass(frozen=True)
 class RecordingSet:
-    """All sequences of one recording set, ordered by filename."""
+    """All sequences of one recording set: a (count, T) array in filename order."""
 
     set_id: str
-    sequences: tuple
+    sequences: np.ndarray
 
 
 @dataclass(frozen=True)
 class PairDataset:
     """Two-set binary classification corpus.
 
-    Samples are ordered first set then second; the second-named set is the
-    positive class (label 1). `standardized` records whether per-sequence
-    standardization was applied.
+    `samples` is a (2n, T) array, n rows of the first set then n of the
+    second; the second-named set is the positive class (label 1).
+    `standardized` records whether per-sequence standardization was applied.
     """
 
     pair: tuple
-    samples: tuple
+    samples: np.ndarray
     standardized: bool = False
 
     @property
     def seq_len(self) -> int:
-        return int(self.samples[0].values.shape[0])
+        return int(self.samples.shape[1])
 
     @property
     def n_per_class(self) -> int:
         return len(self.samples) // 2
 
     def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return np.repeat(np.arange(2, dtype=np.int64), self.n_per_class)
 
     def values(self) -> np.ndarray:
-        return np.stack([s.values for s in self.samples])
-
-    def subset(self, indices) -> "PairDataset":
-        return replace(self, samples=tuple(self.samples[int(i)] for i in indices))
+        """The (2n, T) samples array; the benchmark scripts read it by this name."""
+        return self.samples
 
 
 @dataclass(frozen=True)
@@ -109,16 +102,17 @@ def _read_sequence(path: Path, expected_len: int) -> np.ndarray:
         raise IngestionError(f"{path}: not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
     lines = text.splitlines()
     values = []
+    rejected = None
     for lineno, line in enumerate(lines, start=1):
-        item = line.strip()
         try:
-            values.append(int(item))
+            values.append(int(line.strip()))
         except ValueError:
-            raise IngestionError(f"{path}:{lineno}: not an integer: {item!r}") from None
-    if "_" in text or "+" in text:
+            rejected = lineno
+            break
+    if rejected or "_" in text or "+" in text:
         # int() also takes digit separators and a plus sign, which the format
-        # does not; the line is looked for only after this one scan fails.
-        lineno = next(n for n, line in enumerate(lines, start=1) if "_" in line or "+" in line)
+        # does not; the first bad line is looked for only once a file fails.
+        lineno = next(n for n, line in enumerate(lines, start=1) if n == rejected or "_" in line or "+" in line)
         raise IngestionError(f"{path}:{lineno}: not an integer: {lines[lineno - 1].strip()!r}")
     if len(values) != expected_len:
         raise IngestionError(f"{path}: expected {expected_len} samples, found {len(values)}")
@@ -144,27 +138,21 @@ def load_bonn_set(
     files = sorted(p for p in set_dir.iterdir() if p.suffix.lower() == ".txt")
     if len(files) != expected_count:
         raise IngestionError(f"{set_dir}: expected {expected_count} .txt files, found {len(files)}")
-    sequences = tuple(_read_sequence(p, expected_len) for p in files)
+    sequences = np.stack([_read_sequence(p, expected_len) for p in files])
     return RecordingSet(set_id=set_id, sequences=sequences)
 
 
 def make_pair_dataset(first: RecordingSet, second: RecordingSet) -> PairDataset:
     """Label the first set 0 and the second (target) set 1, in stable order."""
-    lengths = {seq.shape[0] for seq in first.sequences} | {seq.shape[0] for seq in second.sequences}
+    lengths = {first.sequences.shape[1], second.sequences.shape[1]}
     if len(lengths) != 1:
         raise ValueError(f"sets have mixed sequence lengths: {sorted(lengths)}")
     if len(first.sequences) != len(second.sequences):
         raise ValueError(
             f"sets differ in size: {len(first.sequences)} vs {len(second.sequences)}"
         )
-    samples = [
-        LabeledSequence(seq, 0, f"{first.set_id}{i:03d}")
-        for i, seq in enumerate(first.sequences)
-    ] + [
-        LabeledSequence(seq, 1, f"{second.set_id}{i:03d}")
-        for i, seq in enumerate(second.sequences)
-    ]
-    return PairDataset(pair=(first.set_id, second.set_id), samples=tuple(samples))
+    samples = np.concatenate([first.sequences, second.sequences])
+    return PairDataset(pair=(first.set_id, second.set_id), samples=samples)
 
 
 def kfold_split(n_per_class: int, k: int, seed: int):
@@ -246,44 +234,40 @@ def gen_synthetic(
     t = np.arange(seq_len, dtype=np.float64) / float(sample_rate_hz)
     rng = np.random.default_rng(int(seed))
     pair = ("syn0", "syn1")
-    samples = []
-    for label, spec, name in ((0, class0, pair[0]), (1, class1, pair[1])):
+    rows = []
+    for spec, name in zip((class0, class1), pair):
         base = spec.amplitude * np.sin(2.0 * np.pi * spec.freq_hz * t)
         for i in range(n_per_class):
             with np.errstate(over="ignore"):
                 values = base + rng.standard_normal(seq_len) * spec.noise_sd
             if not np.isfinite(values).all():
                 raise ValueError(f"{name}-{i:03d}: generated values are not finite for {spec}")
-            samples.append(LabeledSequence(values, label, f"{name}-{i:03d}"))
-    return PairDataset(pair=pair, samples=tuple(samples))
+            rows.append(values)
+    return PairDataset(pair=pair, samples=np.stack(rows))
 
 
 def standardize_dataset(ds: PairDataset) -> PairDataset:
     """Per-sequence (x - mean) / std; std is floored at 1e-12 for constants."""
-    samples = []
-    for s in ds.samples:
-        sd = float(s.values.std())
-        scaled = (s.values - s.values.mean()) / max(sd, 1e-12)
-        samples.append(replace(s, values=scaled))
-    return PairDataset(pair=ds.pair, samples=tuple(samples), standardized=True)
+    x = ds.samples
+    scaled = (x - x.mean(axis=1, keepdims=True)) / np.maximum(x.std(axis=1, keepdims=True), 1e-12)
+    return PairDataset(pair=ds.pair, samples=scaled, standardized=True)
 
 
-def export_bonn_format(ds: PairDataset, out_dir, set_names=None):
-    """Write a dataset as two Bonn-layout set directories.
+def export_bonn_format(ds: PairDataset, out_dir, set_names):
+    """Write a dataset as two Bonn-layout set directories named `set_names`.
 
     Values are rounded to the nearest integer (the format is integer-per-
     line); choose amplitudes accordingly when fidelity matters. Returns the
     two directory paths, class 0 first.
     """
     out_dir = Path(out_dir)
-    names = tuple(set_names) if set_names else ds.pair
+    n = ds.n_per_class
     dirs = []
-    for label, name in ((0, names[0]), (1, names[1])):
+    for name, rows in zip(set_names, (ds.samples[:n], ds.samples[n:])):
         target = out_dir / name
         target.mkdir(parents=True, exist_ok=True)
-        members = [s for s in ds.samples if s.label == label]
-        for i, s in enumerate(members, start=1):
-            lines = "\n".join(str(int(round(float(v)))) for v in s.values)
+        for i, row in enumerate(rows, start=1):
+            lines = "\n".join(str(int(round(float(v)))) for v in row)
             (target / f"{name}{i:03d}.txt").write_text(lines + "\n", encoding="ascii")
         dirs.append(target)
     return tuple(dirs)

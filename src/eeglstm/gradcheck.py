@@ -35,8 +35,8 @@ class CaseReport:
     blocks: tuple
     max_rel_err: float
 
-    def passed(self, tol: float = REL_TOL) -> bool:
-        return self.max_rel_err < tol
+    def passed(self) -> bool:
+        return self.max_rel_err < REL_TOL
 
 
 def relative_errors(analytic, numeric) -> np.ndarray:

@@ -42,29 +42,19 @@ class EpochRecord:
 
 
 @dataclass
-class BestSnapshot:
-    """Parameters at the epoch with the highest validation accuracy."""
-
-    epoch: int | None
-    val_accuracy: float | None
-    flat_params: np.ndarray = field(repr=False, default=None)
-
-
-@dataclass
-class TrainOutcome:
-    model: Model
-    curves: list
-    best: BestSnapshot
-
-
-@dataclass
 class FoldResult:
+    """One trained fold: its best epoch, that epoch's parameters, and curves.
+
+    The reports score the best epoch's parameters on the val and test rows.
+    """
+
     fold_index: int
     best_epoch: int | None
     best_val_accuracy: float | None
     val_report: MetricsReport
     test_report: MetricsReport
-    best_params: np.ndarray = field(repr=False, default=None)
+    best_params: np.ndarray = field(repr=False)
+    curves: list
 
 
 @dataclass
@@ -79,8 +69,11 @@ class ExperimentResult:
     standardized: bool
     train_config: TrainConfig
     folds: list
-    curves: list
     aggregate: dict
+
+    @property
+    def curves(self) -> list:
+        return [f.curves for f in self.folds]
 
 
 def evaluate(model: Model, data: PairDataset, threshold: float = DECISION_THRESHOLD):
@@ -89,12 +82,12 @@ def evaluate(model: Model, data: PairDataset, threshold: float = DECISION_THRESH
     Returns (MetricsReport, raw scores). Model.scores raises ShapeError if
     the samples' length is not the model's seq_len.
     """
-    scores = model.scores(data.values())
+    scores = model.scores(data.samples)
     return confusion_report(scores, data.labels(), threshold), scores
 
 
-def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset) -> TrainOutcome:
-    """Seeded mini-batch training with best-checkpoint tracking.
+def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset) -> FoldResult:
+    """Train one fold with best-checkpoint tracking, then score its val and test rows.
 
     tcfg.seed is split into two independent streams (weight initialization;
     epoch shuffling + dropout masks), so a run is bit-reproducible. Each
@@ -102,10 +95,11 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     batch allowed, gradient = mean over the batch), applies one Adam step
     per batch, then records validation loss/accuracy. The parameter snapshot
     with the highest validation accuracy is retained (ties keep the earliest
-    epoch). A non-finite batch or validation loss stops training with an
-    EegLstmError.
+    epoch). The val report reuses that epoch's own validation scores; with
+    no epochs it scores the initialization. A non-finite batch or validation
+    loss stops training with an EegLstmError.
     """
-    x_all, y_all = data.values(), data.labels()
+    x_all, y_all = data.samples, data.labels()
     for name, idx in (("train", split.train), ("val", split.val)):
         if len(idx) == 0:
             raise ValueError(f"{name} split is empty")
@@ -118,12 +112,12 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     model = init_params(config, init_seed)
     rng = np.random.default_rng(stream_seed)
     adam = AdamState.zeros(model.params.size)
-    best = BestSnapshot(epoch=None, val_accuracy=None, flat_params=model.params.copy())
+    best_epoch = best_acc = best_scores = None
+    best_params = model.params.copy()
     curves = []
 
-    train_idx = np.asarray(split.train)
-    val_idx = np.asarray(split.val)
-    y_val = y_all[val_idx] == 1
+    train_idx, val_idx, test_idx = (np.asarray(idx) for idx in (split.train, split.val, split.test))
+    x_val, y_val = x_all[val_idx], y_all[val_idx]
     for epoch in range(1, tcfg.epochs + 1):
         order = train_idx[rng.permutation(train_idx.size)]
         loss_sum = 0.0
@@ -140,39 +134,33 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
             new_params, adam = adam_step(model.params, model.grad, adam, tcfg)
             model.params[...] = new_params
             loss_sum += batch_loss
-        val_scores = model.scores(x_all[val_idx])
-        val_losses, _ = bce_loss(val_scores, y_all[val_idx].astype(np.float64))
+        val_scores = model.scores(x_val)
+        val_losses, _ = bce_loss(val_scores, y_val.astype(np.float64))
         val_loss = float(val_losses.mean())
         if not np.isfinite(val_loss):
             raise EegLstmError(f"fold {split.fold_index}: non-finite validation loss at epoch {epoch}")
-        val_acc = float(np.mean((val_scores >= DECISION_THRESHOLD) == y_val))
+        val_acc = float(np.mean((val_scores >= DECISION_THRESHOLD) == (y_val == 1)))
         curves.append(EpochRecord(epoch, loss_sum / order.size, val_loss, val_acc))
-        if best.val_accuracy is None or val_acc > best.val_accuracy:
-            best = BestSnapshot(epoch=epoch, val_accuracy=val_acc, flat_params=model.params.copy())
-    return TrainOutcome(model=model, curves=curves, best=best)
+        if best_acc is None or val_acc > best_acc:
+            best_epoch, best_acc, best_scores = epoch, val_acc, val_scores
+            best_params = model.params.copy()
+    model.params[...] = best_params
+    if best_scores is None:
+        best_scores = model.scores(x_val)
+    return FoldResult(
+        fold_index=split.fold_index,
+        best_epoch=best_epoch,
+        best_val_accuracy=best_acc,
+        val_report=confusion_report(best_scores, y_val, DECISION_THRESHOLD),
+        test_report=confusion_report(model.scores(x_all[test_idx]), y_all[test_idx], DECISION_THRESHOLD),
+        best_params=best_params,
+        curves=curves,
+    )
 
 
 def fold_train_seed(seed: int, fold_index: int) -> int:
     """Deterministic per-fold training seed derived from (seed, fold_index)."""
     return int(np.random.SeedSequence([seed, fold_index, 1]).generate_state(1, dtype=np.uint64)[0])
-
-
-def _run_fold(payload):
-    config, tcfg, split, data = payload
-    outcome = train_model(config, tcfg, split, data)
-    model = outcome.model
-    model.params[...] = outcome.best.flat_params
-    val_report, _ = evaluate(model, data.subset(split.val))
-    test_report, _ = evaluate(model, data.subset(split.test))
-    result = FoldResult(
-        fold_index=split.fold_index,
-        best_epoch=outcome.best.epoch,
-        best_val_accuracy=outcome.best.val_accuracy,
-        val_report=val_report,
-        test_report=test_report,
-        best_params=outcome.best.flat_params,
-    )
-    return result, outcome.curves
 
 
 def _mean_defined(values):
@@ -216,23 +204,19 @@ def run_experiment(
     execution is order-independent, so jobs > 1 runs folds in parallel
     processes with identical results.
     """
-    labels = data.labels()
-    n = len(data.samples)
-    if n % 2 != 0 or not (labels[: n // 2] == 0).all() or not (labels[n // 2 :] == 1).all():
-        raise ValueError("dataset must hold equal classes ordered label-0 then label-1")
     splits = kfold_split(data.n_per_class, k, seed)
     config = ModelConfig(variant=variant, seq_len=data.seq_len)
-    payloads = [
-        (config, replace(tcfg, seed=fold_train_seed(seed, s.fold_index)), s, data) for s in splits
-    ]
+    args = (
+        [config] * k,
+        [replace(tcfg, seed=fold_train_seed(seed, s.fold_index)) for s in splits],
+        splits,
+        [data] * k,
+    )
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_run_fold, payloads))
+            folds = list(pool.map(train_model, *args))
     else:
-        outs = [_run_fold(p) for p in payloads]
-    outs.sort(key=lambda pair: pair[0].fold_index)
-    folds = [r for r, _ in outs]
-    curves = [c for _, c in outs]
+        folds = list(map(train_model, *args))
     return ExperimentResult(
         pair=data.pair,
         variant=variant,
@@ -242,7 +226,6 @@ def run_experiment(
         standardized=data.standardized,
         train_config=tcfg,
         folds=folds,
-        curves=curves,
         aggregate=aggregate_fold_metrics(folds),
     )
 

@@ -72,8 +72,9 @@ class TestLoader:
             (b"1\n" + b"9" * 400 + b"\n3\n", r"A001\.txt:2: integer beyond float64 range"),
             (b"1\n1_000\n3\n", r"A001\.txt:2.*'1_000'"),
             (b"1\n-2\r\n +5 \n", r"A001\.txt:3.*'\+5'"),
+            (b"1\n+5\n3\n4\n5\n6\n7\n8\nx7\n", r"A001\.txt:2.*'\+5'"),
         ],
-        ids=["non-integer", "non-ascii", "overflow", "digit-separator", "plus-sign"],
+        ids=["non-integer", "non-ascii", "overflow", "digit-separator", "plus-sign", "plus-then-letter"],
     )
     def test_non_integer_line_names_file_and_line(self, tmp_path, content, match):
         d = tmp_path / "A"
@@ -118,8 +119,8 @@ class TestLoader:
 class TestPairDataset:
     def make_sets(self, n=10, seq_len=8):
         rng = np.random.default_rng(0)
-        a = RecordingSet("A", tuple(rng.standard_normal(seq_len) for _ in range(n)))
-        e = RecordingSet("E", tuple(rng.standard_normal(seq_len) for _ in range(n)))
+        a = RecordingSet("A", rng.standard_normal((n, seq_len)))
+        e = RecordingSet("E", rng.standard_normal((n, seq_len)))
         return a, e
 
     def test_labels_and_order(self):
@@ -128,8 +129,7 @@ class TestPairDataset:
         assert ds.pair == ("A", "E")
         labels = ds.labels()
         assert labels[:10].sum() == 0 and labels[10:].sum() == 10
-        assert ds.samples[0].source_id == "A000"
-        assert ds.samples[10].source_id == "E000"
+        assert np.array_equal(ds.samples, np.concatenate([a.sequences, e.sequences]))
 
     def test_label_counts_by_construction(self):
         a, e = self.make_sets(n=25)
@@ -145,14 +145,14 @@ class TestPairDataset:
 
     def test_length_mismatch_rejected(self):
         a, _ = self.make_sets(seq_len=8)
-        bad = RecordingSet("E", (np.zeros(9),) * 10)
-        with pytest.raises(ValueError):
+        bad = RecordingSet("E", np.zeros((10, 9)))
+        with pytest.raises(ValueError, match=r"mixed sequence lengths: \[8, 9\]"):
             make_pair_dataset(a, bad)
 
     def test_size_mismatch_rejected(self):
         a, _ = self.make_sets()
-        small = RecordingSet("E", (np.zeros(8),) * 9)
-        with pytest.raises(ValueError):
+        small = RecordingSet("E", np.zeros((9, 8)))
+        with pytest.raises(ValueError, match="differ in size: 10 vs 9"):
             make_pair_dataset(a, small)
 
 
@@ -207,24 +207,25 @@ class TestSynthetic:
         ds = gen_synthetic(spec, spec, n_per_class=2, seq_len=64, sample_rate_hz=64.0, seed=0)
         t = np.arange(64) / 64.0
         expected = 3.0 * np.sin(2 * np.pi * 2.0 * t)
-        assert np.array_equal(ds.samples[0].values, expected)
-        assert np.abs(ds.samples[0].values).max() == pytest.approx(3.0, abs=1e-9)
+        assert ds.samples.shape == (4, 64)
+        assert np.array_equal(ds.samples[0], expected)
+        assert np.abs(ds.samples[0]).max() == pytest.approx(3.0, abs=1e-9)
         # identical specs: the two classes carry the same signal, so nothing
         # beyond chance is learnable
-        assert np.array_equal(ds.samples[0].values, ds.samples[2].values)
+        assert np.array_equal(ds.samples[0], ds.samples[2])
 
     def test_deterministic_given_seed(self):
         spec0 = ToneSpec(2.0, 1.0, 0.1)
         spec1 = ToneSpec(10.0, 1.0, 0.1)
         a = gen_synthetic(spec0, spec1, 5, 32, 64.0, seed=9)
         b = gen_synthetic(spec0, spec1, 5, 32, 64.0, seed=9)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.values.tobytes() == sb.values.tobytes()
+        assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_labels_and_counts(self):
         ds = gen_synthetic(ToneSpec(2, 1, 0.1), ToneSpec(10, 1, 0.1), 7, 32, 64.0, seed=0)
         labels = ds.labels()
-        assert labels.sum() == 7 and len(labels) == 14
+        assert labels.sum() == 7 and len(labels) == 14 == len(ds.samples)
+        assert labels[:7].sum() == 0
 
     def test_invalid_specs_rejected(self):
         good = ToneSpec(2, 1, 0.1)
@@ -245,26 +246,30 @@ class TestStandardize:
         ds = gen_synthetic(ToneSpec(2, 5, 0.5), ToneSpec(10, 5, 0.5), 3, 64, 64.0, seed=2)
         out = standardize_dataset(ds)
         assert out.standardized
-        for s in out.samples:
-            assert s.values.mean() == pytest.approx(0.0, abs=1e-12)
-            assert s.values.std() == pytest.approx(1.0, abs=1e-12)
+        for row in out.samples:
+            assert row.mean() == pytest.approx(0.0, abs=1e-12)
+            assert row.std() == pytest.approx(1.0, abs=1e-12)
+
+    def test_rowwise_equals_per_sequence_bitwise(self):
+        # the one-expression form must round exactly as a per-row loop does
+        for seq_len in (7, 64, 1000, 4097):
+            ds = gen_synthetic(ToneSpec(2, 300, 40), ToneSpec(10, 300, 40), 3, seq_len, 173.61, seed=5)
+            per_row = [(row - row.mean()) / max(float(row.std()), 1e-12) for row in ds.samples]
+            assert standardize_dataset(ds).samples.tobytes() == np.stack(per_row).tobytes(), seq_len
 
     def test_constant_sequence_maps_to_zeros(self):
-        from eeglstm.data import LabeledSequence
-
-        ds = PairDataset(("x", "y"), (LabeledSequence(np.full(8, 3.0), 0, "x0"),
-                                      LabeledSequence(np.zeros(8), 1, "y0")))
+        ds = PairDataset(("x", "y"), np.stack([np.full(8, 3.0), np.zeros(8)]))
         out = standardize_dataset(ds)
-        assert np.all(out.samples[0].values == 0.0)
+        assert np.all(out.samples[0] == 0.0)
 
 
 class TestExportRoundTrip:
     def test_loader_round_trip_is_exact(self, tmp_path):
         # integral amplitudes -> rounding on export is lossless
         ds = gen_synthetic(ToneSpec(2, 1000, 0), ToneSpec(10, 1000, 0), 100, 12, 64.0, seed=0)
-        rounded = np.array([[round(float(v)) for v in s.values] for s in ds.samples])
+        rounded = np.array([[round(float(v)) for v in row] for row in ds.samples])
         export_bonn_format(ds, tmp_path, set_names=("A", "E"))
         a = load_bonn_set(tmp_path, "A", expected_len=12)
         e = load_bonn_set(tmp_path, "E", expected_len=12)
-        reread = np.array([list(s) for s in a.sequences] + [list(s) for s in e.sequences])
+        reread = np.concatenate([a.sequences, e.sequences])
         assert np.array_equal(reread, rounded)

@@ -9,7 +9,7 @@ import pytest
 
 from eeglstm.data import ToneSpec, gen_synthetic, kfold_split
 from eeglstm.harness import train_model
-from eeglstm.layers import ModelConfig
+from eeglstm.layers import Model, ModelConfig
 from eeglstm.optim import TrainConfig
 
 GOLDEN_REL = 1e-10
@@ -72,9 +72,9 @@ def test_golden_trajectory(hidden, dropout):
     assert len(got) == len(golden["curves"])
     for epoch, (row, expected) in enumerate(zip(got, golden["curves"]), start=1):
         assert all(close(a, e) for a, e in zip(row, expected)), f"epoch {epoch}: {row} != {expected}"
-    assert outcome.best.epoch == golden["best_epoch"]
+    assert outcome.best_epoch == golden["best_epoch"]
 
-    blocks = outcome.model.blocks(outcome.best.flat_params)
+    blocks = Model(config).blocks(outcome.best_params)
     assert list(blocks) == list(golden["blocks"])
     for name, block in blocks.items():
         stats = (float(block.sum()), float((block * block).sum()))

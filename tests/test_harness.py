@@ -22,7 +22,7 @@ from eeglstm.harness import (
     write_experiment_json,
     write_results_csv,
 )
-from eeglstm.layers import ModelConfig, init_params
+from eeglstm.layers import Model, ModelConfig, init_params
 from eeglstm.metrics import confusion_report
 from eeglstm.optim import TrainConfig
 
@@ -43,12 +43,13 @@ class TestTrainModel:
         data = tiny_dataset()
         split = kfold_split(10, 1, seed=0)[0]
         tcfg = TrainConfig(epochs=0, seed=3)
-        outcome = train_model(tiny_config(), tcfg, split, data)
-        assert outcome.curves == []
-        assert outcome.best.epoch is None and outcome.best.val_accuracy is None
+        fold = train_model(tiny_config(), tcfg, split, data)
+        assert fold.curves == []
+        assert fold.best_epoch is None and fold.best_val_accuracy is None
         init_seed = int(np.random.SeedSequence(3).generate_state(2, dtype=np.uint64)[0])
         fresh = init_params(tiny_config(), init_seed)
-        assert outcome.model.params.tobytes() == fresh.params.tobytes()
+        assert fold.best_params.tobytes() == fresh.params.tobytes()
+        assert fold.val_report.total == len(split.val)
 
     def test_bit_identical_reruns(self):
         data = tiny_dataset()
@@ -57,8 +58,7 @@ class TestTrainModel:
         a = train_model(tiny_config(), tcfg, split, data)
         b = train_model(tiny_config(), tcfg, split, data)
         assert a.curves == b.curves
-        assert a.model.params.tobytes() == b.model.params.tobytes()
-        assert a.best.flat_params.tobytes() == b.best.flat_params.tobytes()
+        assert a.best_params.tobytes() == b.best_params.tobytes()
 
     def test_empty_split_rejected(self):
         data = tiny_dataset()
@@ -77,10 +77,8 @@ class TestTrainModel:
         split = kfold_split(10, 1, seed=0)[0]
 
         def poison(indices):
-            nan = {int(i) for i in indices}
-            samples = tuple(
-                replace(s, values=np.full(32, np.nan)) if n in nan else s for n, s in enumerate(data.samples)
-            )
+            samples = data.samples.copy()
+            samples[np.asarray(indices)] = np.nan
             return replace(data, samples=samples)
 
         with pytest.raises(EegLstmError, match="fold 0: non-finite training loss at epoch 1, batch 1"):
@@ -91,10 +89,10 @@ class TestTrainModel:
     def test_best_checkpoint_is_max_val_accuracy_earliest_tie(self):
         data = tiny_dataset()
         split = kfold_split(10, 1, seed=1)[0]
-        outcome = train_model(tiny_config(), TrainConfig(epochs=5, seed=2), split, data)
-        accs = [rec.val_accuracy for rec in outcome.curves]
-        assert outcome.best.val_accuracy == max(accs)
-        assert outcome.best.epoch == accs.index(max(accs)) + 1
+        fold = train_model(tiny_config(), TrainConfig(epochs=5, seed=2), split, data)
+        accs = [rec.val_accuracy for rec in fold.curves]
+        assert fold.best_val_accuracy == max(accs)
+        assert fold.best_epoch == accs.index(max(accs)) + 1
 
     def test_training_loss_decreases_on_separable_pair(self):
         # epoch-mean train loss strictly decreases over the first five epochs
@@ -106,13 +104,13 @@ class TestTrainModel:
         split = kfold_split(100, 1, seed=0)[0]
         wins = 0
         for seed in range(10):
-            outcome = train_model(
+            fold = train_model(
                 ModelConfig(variant=1, seq_len=128),
                 TrainConfig(epochs=5, seed=seed),
                 split,
                 data,
             )
-            losses = [rec.train_loss for rec in outcome.curves]
+            losses = [rec.train_loss for rec in fold.curves]
             wins += all(b < a for a, b in zip(losses, losses[1:]))
         assert wins >= 9
 
@@ -132,18 +130,12 @@ class TestEvaluate:
         with pytest.raises(ShapeError):
             evaluate(model, data)
 
-    def test_accepts_sample_lists(self):
-        data = tiny_dataset()
-        model = init_params(tiny_config(), 0)
-        report, scores = evaluate(model, data.subset(range(4)))
-        assert report.total == 4
-
 
 class TestAggregation:
     def make_fold(self, idx, val_acc, precision):
         rep = confusion_report(np.array([0.9, 0.1]), np.array([1, 0]))
         rep = rep.__class__(**{**rep.to_dict(), "precision": precision})
-        return FoldResult(idx, 1, val_acc, rep, rep, np.zeros(1))
+        return FoldResult(idx, 1, val_acc, rep, rep, np.zeros(1), [])
 
     def test_means_over_folds(self):
         folds = [self.make_fold(0, 0.8, 0.5), self.make_fold(1, 1.0, 0.7)]
@@ -176,17 +168,20 @@ class TestRunExperiment:
 
     def test_reported_val_accuracy_equals_curve_maximum(self):
         data = tiny_dataset()
-        result = run_experiment(data, 1, k=2, seed=3, tcfg=TrainConfig(epochs=3, seed=0))
-        for fold, curves in zip(result.folds, result.curves):
-            assert fold.best_val_accuracy == max(rec.val_accuracy for rec in curves)
-            # re-evaluating the snapshot on the val split reproduces it
-            assert fold.val_report.accuracy == pytest.approx(fold.best_val_accuracy)
-
-    def test_unordered_dataset_rejected(self):
-        data = tiny_dataset()
-        shuffled = data.__class__(data.pair, tuple(reversed(data.samples)))
-        with pytest.raises(ValueError):
-            run_experiment(shuffled, 1, 1, 0, TrainConfig(epochs=1))
+        # with seed 5, fold 1 peaks at epoch 1 and ends lower, so a report
+        # taken from the last epoch would differ
+        for seed in (3, 5):
+            result = run_experiment(data, 1, k=2, seed=seed, tcfg=TrainConfig(epochs=3, seed=0))
+            assert result.curves == [fold.curves for fold in result.folds]
+            for fold, split in zip(result.folds, kfold_split(data.n_per_class, 2, seed)):
+                assert fold.best_val_accuracy == max(rec.val_accuracy for rec in fold.curves)
+                assert fold.val_report.accuracy == fold.best_val_accuracy
+                # the report built from the best epoch's own sweep equals a
+                # fresh scoring of the best-epoch parameters on the val rows
+                model = Model(ModelConfig(variant=1, seq_len=data.seq_len))
+                model.params[...] = fold.best_params
+                val = split.val
+                assert fold.val_report == confusion_report(model.scores(data.samples[val]), data.labels()[val])
 
     def test_parallel_folds_match_sequential(self):
         data = tiny_dataset()
@@ -254,7 +249,7 @@ class TestArtifacts:
 
         res = ExperimentResult(
             pair=("a", "b"), variant=1, seq_len=8, k=1, seed=0, standardized=False,
-            train_config=TrainConfig(), folds=[fold], curves=[[]],
+            train_config=TrainConfig(), folds=[fold],
             aggregate=aggregate_fold_metrics([fold]),
         )
         row = results_row(res)
