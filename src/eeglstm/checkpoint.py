@@ -42,6 +42,28 @@ def save_checkpoint(path, model: Model, standardized: bool = False, provenance: 
         fh.write("\n")
 
 
+# The types json.load gives JSON numbers. Checks compare exact types, because
+# bool is a subclass of int.
+_NUMBER_TYPES = {int, float}
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return type(value) in _NUMBER_TYPES
+
+
+# Model fields: the check each value must pass and what the check expects.
+_MODEL_FIELDS = {
+    "variant": (_is_int, "an integer"),
+    "hidden_sizes": (lambda v: type(v) is list and all(map(_is_int, v)), "a list of integers"),
+    "dropout_prob": (_is_number, "a number"),
+    "seq_len": (_is_int, "an integer"),
+}
+
+
 def _require(doc, key: str):
     if not isinstance(doc, dict) or key not in doc:
         raise CheckpointError(f"checkpoint is missing field {key!r}")
@@ -60,7 +82,7 @@ def load_checkpoint(path, expect_variant: int | None = None):
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON, bad bytes and over-long integers
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"unreadable checkpoint {path}: not a JSON object")
@@ -73,19 +95,12 @@ def load_checkpoint(path, expect_variant: int | None = None):
     input_dim = _require(info, "input_dim")
     if type(input_dim) is not int or input_dim != 1:
         raise CheckpointError(f"invalid model field 'input_dim' in checkpoint: {input_dim!r}, expected 1")
-    casts = {
-        "variant": int,
-        "hidden_sizes": lambda sizes: tuple(map(int, sizes)),
-        "dropout_prob": float,
-        "seq_len": int,
-    }
     fields = {}
-    for key, cast in casts.items():
+    for key, (valid, expected) in _MODEL_FIELDS.items():
         value = _require(info, key)
-        try:
-            fields[key] = cast(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CheckpointError(f"invalid model field {key!r} in checkpoint: {exc}") from exc
+        if not valid(value):
+            raise CheckpointError(f"invalid model field {key!r} in checkpoint: {value!r} is not {expected}")
+        fields[key] = value
     if expect_variant is not None and fields["variant"] != expect_variant:
         raise CheckpointError(
             f"checkpoint holds model variant {fields['variant']}, requested variant {expect_variant}"
@@ -100,11 +115,21 @@ def load_checkpoint(path, expect_variant: int | None = None):
     for name, arr in model.blocks(model.params).items():
         entry = _require(stored, name)
         try:
-            shape, data = tuple(entry["shape"]), np.asarray(entry["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+            shape, data = entry["shape"], entry["data"]
+        except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{name}: malformed parameter block: {type(exc).__name__}: {exc}") from exc
-        if shape != arr.shape:
-            raise CheckpointError(f"{name}: checkpoint shape {list(shape)} != expected {list(arr.shape)}")
+        if type(shape) is not list or not all(map(_is_int, shape)):
+            raise CheckpointError(f"{name}: checkpoint shape {shape!r} is not a list of integers")
+        # A bare number stands for a one-value list.
+        values = data if type(data) is list else [data]
+        if not set(map(type, values)) <= _NUMBER_TYPES:
+            raise CheckpointError(f"{name}: checkpoint data is not a flat list of numbers")
+        try:
+            data = np.array(values, dtype=np.float64)
+        except OverflowError as exc:
+            raise CheckpointError(f"{name}: checkpoint value out of float64 range: {exc}") from exc
+        if shape != list(arr.shape):
+            raise CheckpointError(f"{name}: checkpoint shape {shape} != expected {list(arr.shape)}")
         if data.size != arr.size:
             raise CheckpointError(f"{name}: checkpoint holds {data.size} values, expected {arr.size}")
         if not np.isfinite(data).all():

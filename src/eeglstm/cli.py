@@ -20,10 +20,11 @@ from . import gradcheck as gc
 from . import harness
 from .errors import EegLstmError
 from .layers import Model, ModelConfig
+from .metrics import DECISION_THRESHOLD
 from .optim import TrainConfig
 
-SYNTH_KEYS = ("f0", "f1", "amp", "noise", "rate", "n")
 SYNTH_DEFAULTS = {"f0": 2.0, "f1": 10.0, "amp": 1.0, "noise": 0.1, "rate": 64.0, "n": 100}
+SYNTH_KEYS = tuple(SYNTH_DEFAULTS)
 
 
 def _parse_pair(text: str, parser):
@@ -78,7 +79,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def _resolve_dataset(args, parser):
-    """Build the dataset from --data/--pair or --synthetic; applies --standardize."""
+    """Build the dataset from --data/--pair or --synthetic."""
     if args.data and args.synthetic:
         parser.error("--data and --synthetic are mutually exclusive")
     if not args.data and not args.synthetic:
@@ -100,13 +101,13 @@ def _resolve_dataset(args, parser):
         except ValueError as exc:
             parser.error(f"--synthetic: {exc}")
         source = f"synthetic:{args.synthetic}"
-    if getattr(args, "standardize", False):
-        dataset = datamod.standardize_dataset(dataset)
     return dataset, source
 
 
 def cmd_train(args, parser) -> int:
     dataset, source = _resolve_dataset(args, parser)
+    if args.standardize:
+        dataset = datamod.standardize_dataset(dataset)
     tcfg = _train_config(args)
     _print_config(
         "train",
@@ -159,7 +160,6 @@ def cmd_evaluate(args, parser) -> int:
     model, meta = ckpt.load_checkpoint(args.checkpoint, expect_variant=args.model)
     if args.seq_len is None:
         args.seq_len = model.config.seq_len
-    args.standardize = False  # the checkpoint's recorded flag decides
     dataset, source = _resolve_dataset(args, parser)
     if meta["standardized"]:
         dataset = datamod.standardize_dataset(dataset)
@@ -177,13 +177,14 @@ def cmd_evaluate(args, parser) -> int:
         },
     )
     report, _ = harness.evaluate(model, dataset, threshold=args.threshold)
-    for key, value in report.to_dict().items():
+    metrics = asdict(report)
+    for key, value in metrics.items():
         print(f"  {key} = {value}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "metrics.json", "w", encoding="ascii") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(metrics, fh, indent=2)
             fh.write("\n")
         print(f"wrote {out / 'metrics.json'}")
     return 0
@@ -280,9 +281,8 @@ def cmd_gradcheck(args, parser) -> int:
     return 0 if all_ok else 1
 
 
-def _add_data_flags(sub, with_pair: bool = True) -> None:
-    if with_pair:
-        sub.add_argument("--pair", help="two set letters, e.g. A,E (second set is the positive class)")
+def _add_data_flags(sub) -> None:
+    sub.add_argument("--pair", help="two set letters, e.g. A,E (second set is the positive class)")
     sub.add_argument("--data", help="corpus root holding one directory per recording set")
     sub.add_argument(
         "--synthetic",
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
     ev.add_argument("--checkpoint", required=True, help="checkpoint.json to load")
     ev.add_argument("--model", type=int, choices=(1, 2), help="assert the checkpoint's variant")
-    ev.add_argument("--threshold", type=_finite_float, default=harness.DECISION_THRESHOLD)
+    ev.add_argument("--threshold", type=_finite_float, default=DECISION_THRESHOLD)
     ev.add_argument("--out", help="directory for metrics.json (optional)")
     _add_data_flags(ev)
     ev.set_defaults(func=cmd_evaluate)
@@ -374,10 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except EegLstmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EegLstmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,13 +9,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import metrics
 from .data import BONN_SEQ_LEN, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
 from .errors import EegLstmError
 from .layers import Model, ModelConfig, init_params
-from .metrics import MetricsReport, confusion_report
 from .optim import AdamState, TrainConfig, adam_step, bce_loss
-
-DECISION_THRESHOLD = 0.5
 
 # The six evaluated set pairs and the model variant used for each.
 TABLE_PAIRS = (
@@ -51,8 +49,8 @@ class FoldResult:
     fold_index: int
     best_epoch: int | None
     best_val_accuracy: float | None
-    val_report: MetricsReport
-    test_report: MetricsReport
+    val_report: metrics.MetricsReport
+    test_report: metrics.MetricsReport
     best_params: np.ndarray = field(repr=False)
     curves: list
 
@@ -76,14 +74,14 @@ class ExperimentResult:
         return [f.curves for f in self.folds]
 
 
-def evaluate(model: Model, data: PairDataset, threshold: float = DECISION_THRESHOLD):
+def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISION_THRESHOLD):
     """Score a dataset in eval mode and derive metrics at the threshold.
 
     Returns (MetricsReport, raw scores). Model.scores raises ShapeError if
     the samples' length is not the model's seq_len.
     """
     scores = model.scores(data.samples)
-    return confusion_report(scores, data.labels(), threshold), scores
+    return metrics.confusion_report(scores, data.labels(), threshold), scores
 
 
 def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset) -> FoldResult:
@@ -93,11 +91,12 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     epoch shuffling + dropout masks), so a run is bit-reproducible. Each
     epoch shuffles the training indices, sweeps mini-batches (final partial
     batch allowed, gradient = mean over the batch), applies one Adam step
-    per batch, then records validation loss/accuracy. The parameter snapshot
-    with the highest validation accuracy is retained (ties keep the earliest
-    epoch). The val report reuses that epoch's own validation scores; with
-    no epochs it scores the initialization. A non-finite batch or validation
-    loss stops training with an EegLstmError.
+    per batch, then records the validation loss and the accuracy of the
+    epoch's validation report. The parameter snapshot with the highest
+    validation accuracy is retained (ties keep the earliest epoch), and that
+    epoch's report is the val report; with no epochs the initialization is
+    scored. A non-finite batch or validation loss stops training with an
+    EegLstmError.
     """
     x_all, y_all = data.samples, data.labels()
     for name, idx in (("train", split.train), ("val", split.val)):
@@ -112,7 +111,7 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     model = init_params(config, init_seed)
     rng = np.random.default_rng(stream_seed)
     adam = AdamState.zeros(model.params.size)
-    best_epoch = best_acc = best_scores = None
+    best_epoch = best_acc = val_report = None
     best_params = model.params.copy()
     curves = []
 
@@ -124,7 +123,7 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
         for n, start in enumerate(range(0, order.size, tcfg.batch_size), start=1):
             batch = order[start : start + tcfg.batch_size]
             probs, cache = model.forward(x_all[batch], train=True, rng=rng)
-            losses, dloss = bce_loss(probs, y_all[batch].astype(np.float64))
+            losses, dloss = bce_loss(probs, y_all[batch])
             batch_loss = float(losses.sum())
             if not np.isfinite(batch_loss):
                 raise EegLstmError(
@@ -135,24 +134,24 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
             model.params[...] = new_params
             loss_sum += batch_loss
         val_scores = model.scores(x_val)
-        val_losses, _ = bce_loss(val_scores, y_val.astype(np.float64))
+        val_losses, _ = bce_loss(val_scores, y_val)
         val_loss = float(val_losses.mean())
         if not np.isfinite(val_loss):
             raise EegLstmError(f"fold {split.fold_index}: non-finite validation loss at epoch {epoch}")
-        val_acc = float(np.mean((val_scores >= DECISION_THRESHOLD) == (y_val == 1)))
-        curves.append(EpochRecord(epoch, loss_sum / order.size, val_loss, val_acc))
-        if best_acc is None or val_acc > best_acc:
-            best_epoch, best_acc, best_scores = epoch, val_acc, val_scores
+        report = metrics.confusion_report(val_scores, y_val)
+        curves.append(EpochRecord(epoch, loss_sum / order.size, val_loss, report.accuracy))
+        if best_acc is None or report.accuracy > best_acc:
+            best_epoch, best_acc, val_report = epoch, report.accuracy, report
             best_params = model.params.copy()
     model.params[...] = best_params
-    if best_scores is None:
-        best_scores = model.scores(x_val)
+    if val_report is None:
+        val_report = metrics.confusion_report(model.scores(x_val), y_val)
     return FoldResult(
         fold_index=split.fold_index,
         best_epoch=best_epoch,
         best_val_accuracy=best_acc,
-        val_report=confusion_report(best_scores, y_val, DECISION_THRESHOLD),
-        test_report=confusion_report(model.scores(x_all[test_idx]), y_all[test_idx], DECISION_THRESHOLD),
+        val_report=val_report,
+        test_report=metrics.confusion_report(model.scores(x_all[test_idx]), y_all[test_idx]),
         best_params=best_params,
         curves=curves,
     )
@@ -323,8 +322,8 @@ def experiment_to_dict(result: ExperimentResult) -> dict:
                 "fold_index": f.fold_index,
                 "best_epoch": f.best_epoch,
                 "best_val_accuracy": f.best_val_accuracy,
-                "val": f.val_report.to_dict(),
-                "test": f.test_report.to_dict(),
+                "val": asdict(f.val_report),
+                "test": asdict(f.test_report),
             }
             for f in result.folds
         ],

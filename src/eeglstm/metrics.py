@@ -8,6 +8,9 @@ import numpy as np
 
 from .errors import MetricUndefinedError, ShapeError
 
+# Decision rule for every reported rate: score >= threshold predicts positive.
+DECISION_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -33,20 +36,6 @@ class MetricsReport:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "auc": self.auc,
-            "threshold": self.threshold,
-        }
-
 
 def _ratio(num: int, den: int):
     return num / den if den else None
@@ -63,7 +52,7 @@ def _scores_and_labels(scores, labels):
     return scores, labels
 
 
-def confusion_report(scores, labels, threshold: float = 0.5) -> MetricsReport:
+def confusion_report(scores, labels, threshold: float = DECISION_THRESHOLD) -> MetricsReport:
     """Metrics at the decision rule: score >= threshold predicts positive.
 
     Non-finite scores raise MetricUndefinedError.
@@ -96,40 +85,24 @@ def confusion_report(scores, labels, threshold: float = 0.5) -> MetricsReport:
 
 
 def roc_auc(scores, labels) -> float:
-    """Area under the ROC curve, trapezoidal over all distinct thresholds.
+    """Area under the ROC curve, computed as the Mann-Whitney pair count.
 
-    Cumulative true/false positive counts are accumulated as integers and
-    divided once, so the result equals the pairwise Mann-Whitney statistic
-    (ties credited 0.5) exactly, not merely to rounding. Non-finite scores
-    raise MetricUndefinedError: they have no place in the ranking.
+    Each (positive, negative) pair counts 1 when the positive scores higher
+    and 0.5 when they tie (Hanley & McNeil 1982), which equals the
+    trapezoidal area under the ROC curve over all distinct thresholds. The
+    count is summed as an integer and divided once, so the value is exact,
+    not merely correct to rounding. Non-finite scores raise
+    MetricUndefinedError: they have no place in the ranking.
     """
     scores, labels = _scores_and_labels(scores, labels)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
+    pos = scores[labels == 1]
+    neg = np.sort(scores[labels == 0])
+    n_pos, n_neg = pos.size, neg.size
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError(
             f"AUC needs both classes, got {n_pos} positive / {n_neg} negative"
         )
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-
-    area2 = 0  # twice the area, in (tp x fp) count units
-    tp = fp = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        dtp = dfp = 0
-        while j < n and s[j] == s[i]:
-            if y[j] == 1:
-                dtp += 1
-            else:
-                dfp += 1
-            j += 1
-        # Trapezoid between consecutive ROC points (fp, tp) -> (fp+dfp, tp+dtp).
-        area2 += dfp * (2 * tp + dtp)
-        tp += dtp
-        fp += dfp
-        i = j
-    return area2 / (2 * n_pos * n_neg)
+    # Twice the count: negatives strictly below plus negatives not above each positive.
+    below = np.searchsorted(neg, pos, side="left")
+    not_above = np.searchsorted(neg, pos, side="right")
+    return int((below + not_above).sum()) / (2 * n_pos * n_neg)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from eeglstm import data, harness
+from eeglstm import checkpoint, data, harness
 from eeglstm.layers import ModelConfig, init_params
 from eeglstm.optim import TrainConfig
 
@@ -27,9 +27,19 @@ def test_benchmark_dataset_and_harness_calls(tmp_path, monkeypatch):
     y = dataset.labels()[idx].astype(np.float64)
     assert x.shape == (4, 16) and list(y) == [0.0, 0.0, 1.0, 1.0]
 
-    model = init_params(ModelConfig(variant=1, seq_len=16), 0)
+    saved = init_params(ModelConfig(variant=1, seq_len=16), 0)
+    checkpoint.save_checkpoint(tmp_path / "ckpt.json", saved, standardized=True, provenance={"seed": 0})
+    model, meta = checkpoint.load_checkpoint(tmp_path / "ckpt.json", expect_variant=1)
+    assert meta["standardized"] is True
+    assert all(np.array_equal(a, b) for a, b in zip(model.param_arrays(), saved.param_arrays()))
     report, scores = harness.evaluate(model, dataset)
     assert report.total == 40 and scores.shape == (40,)
+    # evaluate-m1's exact-AUC check: the brute-force Mann-Whitney pair count
+    labels = dataset.labels()
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    greater = int(np.sum(pos[:, None] > neg[None, :]))
+    ties = int(np.sum(pos[:, None] == neg[None, :]))
+    assert report.auc == (2 * greater + ties) / (2 * pos.size * neg.size)
 
     # a traced run wraps the module attribute; run_experiment must call through it
     folds_trained = []

@@ -32,6 +32,15 @@ def test_truncated_file_is_load_error_not_crash(model, tmp_path):
         load_checkpoint(path)
 
 
+def test_integer_beyond_json_digit_limit_is_load_error(model, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model)
+    text = path.read_text()
+    path.write_text(text.replace('"seq_len": 16', '"seq_len": 1' + "0" * 5000))
+    with pytest.raises(CheckpointError, match="unreadable"):
+        load_checkpoint(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "nope.json")
@@ -106,6 +115,17 @@ def test_missing_model_field(model, tmp_path):
         (None, "provenance", [1, 2], "provenance"),
         ("model", "input_dim", 3, "input_dim"),
         ("model", "input_dim", True, "input_dim"),
+        ("model", "variant", 2.0, "variant"),
+        ("model", "seq_len", 16.5, "seq_len"),
+        ("model", "seq_len", "16", "seq_len"),
+        ("model", "hidden_sizes", [6.0, 4.9], "hidden_sizes"),
+        ("model", "dropout_prob", False, "dropout_prob"),
+        ("params", "dense.bias", {"shape": [], "data": "0.5"}, "dense.bias"),
+        ("params", "dense.bias", {"shape": [], "data": True}, "dense.bias"),
+        ("params", "dense.weights", {"shape": [4], "data": ["1", "2", True, 0]}, "dense.weights"),
+        ("params", "dense.weights", {"shape": [4], "data": [[1, 2], [3, 4]]}, "dense.weights"),
+        ("params", "dense.weights", {"shape": [4.0], "data": [0, 0, 0, 0]}, "dense.weights"),
+        ("params", "dense.weights", {"shape": [4], "data": [10**400, 0, 0, 0]}, "dense.weights"),
     ],
 )
 def test_malformed_field_is_checkpoint_error(model, tmp_path, section, key, value, match):

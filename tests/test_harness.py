@@ -134,7 +134,7 @@ class TestEvaluate:
 class TestAggregation:
     def make_fold(self, idx, val_acc, precision):
         rep = confusion_report(np.array([0.9, 0.1]), np.array([1, 0]))
-        rep = rep.__class__(**{**rep.to_dict(), "precision": precision})
+        rep = replace(rep, precision=precision)
         return FoldResult(idx, 1, val_acc, rep, rep, np.zeros(1), [])
 
     def test_means_over_folds(self):

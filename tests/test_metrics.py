@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -53,6 +55,18 @@ class TestRocAuc:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(MetricUndefinedError, match="not finite"):
                 roc_auc([bad, 0.2, 0.3], [1, 0, 1])
+
+    def test_signed_zero_tie_gives_half(self):
+        assert roc_auc([0.0, -0.0], [1, 0]) == 0.5
+        assert roc_auc([-0.0, 0.0], [1, 0]) == 0.5
+
+    def test_large_tied_grid_equals_vectorized_pairwise(self):
+        rng = np.random.default_rng(7)
+        scores = rng.integers(0, 9, 2000) / 8.0
+        labels = rng.integers(0, 2, 2000)
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        twice = 2 * int((pos[:, None] > neg[None, :]).sum()) + int((pos[:, None] == neg[None, :]).sum())
+        assert roc_auc(scores, labels) == twice / (2 * pos.size * neg.size)
 
     @given(
         st.lists(
@@ -110,13 +124,13 @@ class TestConfusionReport:
         rep = confusion_report(np.array([0.4, 0.6]), np.array([1, 1]))
         assert rep.auc is None
 
-    def test_to_dict_round_trip_keys(self):
+    def test_asdict_keys_in_metrics_json_order(self):
+        # metrics.json and result.json serialize reports with asdict: field order is byte order
         rep = confusion_report(np.array([0.9, 0.1]), np.array([1, 0]))
-        d = rep.to_dict()
-        assert set(d) == {
+        assert list(asdict(rep)) == [
             "tp", "fp", "tn", "fn",
             "accuracy", "sensitivity", "specificity", "precision", "auc", "threshold",
-        }
+        ]
 
     def test_non_finite_scores_rejected_not_auc_none(self):
         with pytest.raises(MetricUndefinedError, match="not finite"):
