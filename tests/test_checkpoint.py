@@ -126,6 +126,11 @@ def test_missing_model_field(model, tmp_path):
         ("params", "dense.weights", {"shape": [4], "data": [[1, 2], [3, 4]]}, "dense.weights"),
         ("params", "dense.weights", {"shape": [4.0], "data": [0, 0, 0, 0]}, "dense.weights"),
         ("params", "dense.weights", {"shape": [4], "data": [10**400, 0, 0, 0]}, "dense.weights"),
+        ("model", "hidden_sizes", [], "hidden_sizes"),
+        ("model", "hidden_sizes", None, "hidden_sizes"),
+        ("model", "dropout_prob", None, "dropout_prob"),
+        # checked against the stored blocks before any array of that size exists
+        ("model", "hidden_sizes", [10**7, 4], "lstm1.kernel"),
     ],
 )
 def test_malformed_field_is_checkpoint_error(model, tmp_path, section, key, value, match):

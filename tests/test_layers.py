@@ -331,6 +331,29 @@ class TestParamCount:
             assert sum(a.size for a in model.param_arrays()) == param_count(config)[0]
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"variant": True}, "variant"),
+            ({"variant": 1, "hidden_sizes": (6.0,)}, "hidden_sizes"),
+            ({"variant": 1, "hidden_sizes": ()}, "hidden_sizes"),
+        ],
+    )
+    def test_rejects_malformed_fields(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ModelConfig(**kwargs)
+
+    def test_none_gives_the_variant_defaults(self):
+        one, two = ModelConfig(variant=1), ModelConfig(variant=2)
+        assert (one.hidden_sizes, one.dropout_prob) == ((64,), 0.0)
+        assert (two.hidden_sizes, two.dropout_prob) == ((128, 64), 0.35)
+
+    def test_list_is_stored_as_tuple(self):
+        config = ModelConfig(variant=2, hidden_sizes=[6, 4])
+        assert type(config.hidden_sizes) is tuple and config.hidden_sizes == (6, 4)
+
+
 class TestInit:
     def test_same_seed_bit_identical(self):
         config = ModelConfig(variant=2, seq_len=32, hidden_sizes=(6, 4))
