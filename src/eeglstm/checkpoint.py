@@ -9,12 +9,13 @@ float repr is shortest-roundtrip).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError
-from .layers import Model, ModelConfig
+from .layers import Model, ModelConfig, layout
 
 FORMAT_VERSION = 1
 
@@ -47,26 +48,10 @@ def save_checkpoint(path, model: Model, standardized: bool = False, provenance: 
 _NUMBER_TYPES = {int, float}
 
 
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
-def _is_number(value) -> bool:
-    return type(value) in _NUMBER_TYPES
-
-
-# Model fields: the check each value must pass and what the check expects.
-_MODEL_FIELDS = {
-    "variant": (_is_int, "an integer"),
-    "hidden_sizes": (lambda v: type(v) is list and all(map(_is_int, v)), "a list of integers"),
-    "dropout_prob": (_is_number, "a number"),
-    "seq_len": (_is_int, "an integer"),
-}
-
-
 def _require(doc, key: str):
-    if not isinstance(doc, dict) or key not in doc:
-        raise CheckpointError(f"checkpoint is missing field {key!r}")
+    """doc[key]; a JSON null counts as missing, so it never means a default."""
+    if not isinstance(doc, dict) or doc.get(key) is None:
+        raise CheckpointError(f"checkpoint field {key!r} is missing or null")
     return doc[key]
 
 
@@ -95,30 +80,24 @@ def load_checkpoint(path, expect_variant: int | None = None):
     input_dim = _require(info, "input_dim")
     if type(input_dim) is not int or input_dim != 1:
         raise CheckpointError(f"invalid model field 'input_dim' in checkpoint: {input_dim!r}, expected 1")
-    fields = {}
-    for key, (valid, expected) in _MODEL_FIELDS.items():
-        value = _require(info, key)
-        if not valid(value):
-            raise CheckpointError(f"invalid model field {key!r} in checkpoint: {value!r} is not {expected}")
-        fields[key] = value
-    if expect_variant is not None and fields["variant"] != expect_variant:
-        raise CheckpointError(
-            f"checkpoint holds model variant {fields['variant']}, requested variant {expect_variant}"
-        )
+    fields = {key: _require(info, key) for key in ("variant", "hidden_sizes", "dropout_prob", "seq_len")}
     try:
         config = ModelConfig(**fields)
     except ValueError as exc:
         raise CheckpointError(f"invalid model config in checkpoint: {exc}") from exc
+    if expect_variant is not None and config.variant != expect_variant:
+        raise CheckpointError(f"checkpoint holds model variant {config.variant}, requested variant {expect_variant}")
 
-    model = Model(config)
+    # Every stored block is checked against the layout before the model exists.
     stored = _require(doc, "params")
-    for name, arr in model.blocks(model.params).items():
+    blocks = []
+    for name, expected in layout(config):
         entry = _require(stored, name)
         try:
             shape, data = entry["shape"], entry["data"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{name}: malformed parameter block: {type(exc).__name__}: {exc}") from exc
-        if type(shape) is not list or not all(map(_is_int, shape)):
+        if type(shape) is not list or not all(type(n) is int for n in shape):
             raise CheckpointError(f"{name}: checkpoint shape {shape!r} is not a list of integers")
         # A bare number stands for a one-value list.
         values = data if type(data) is list else [data]
@@ -128,13 +107,15 @@ def load_checkpoint(path, expect_variant: int | None = None):
             data = np.array(values, dtype=np.float64)
         except OverflowError as exc:
             raise CheckpointError(f"{name}: checkpoint value out of float64 range: {exc}") from exc
-        if shape != list(arr.shape):
-            raise CheckpointError(f"{name}: checkpoint shape {shape} != expected {list(arr.shape)}")
-        if data.size != arr.size:
-            raise CheckpointError(f"{name}: checkpoint holds {data.size} values, expected {arr.size}")
+        if shape != list(expected):
+            raise CheckpointError(f"{name}: checkpoint shape {shape} != expected {list(expected)}")
+        if data.size != math.prod(expected):
+            raise CheckpointError(f"{name}: checkpoint holds {data.size} values, expected {math.prod(expected)}")
         if not np.isfinite(data).all():
             raise CheckpointError(f"{name}: checkpoint holds non-finite values")
-        arr[...] = data.reshape(arr.shape)
+        blocks.append(data)
+    model = Model(config)
+    model.params[...] = np.concatenate(blocks)
     standardized = _require(doc, "standardized")
     if not isinstance(standardized, bool):
         raise CheckpointError(f"invalid field 'standardized' in checkpoint: {standardized!r} is not true or false")

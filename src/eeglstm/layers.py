@@ -27,9 +27,8 @@ from .errors import ShapeError
 
 GATE_NAMES = ("i", "f", "c", "o")
 
-MODEL1_HIDDEN = (64,)
-MODEL2_HIDDEN = (128, 64)
-MODEL2_DROPOUT = 0.35
+# The paper's architectures: (hidden_sizes, dropout_prob) of each variant.
+VARIANT_DEFAULTS = {1: ((64,), 0.0), 2: ((128, 64), 0.35)}
 
 
 def sigmoid(x) -> np.ndarray:
@@ -213,42 +212,45 @@ def dropout_forward(values, p: float, rng=None, train: bool = False):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture description.
+    """Architecture description, and the only check of one.
 
     variant 1 is the single-layer classifier (one LSTM, hidden 64, no
     dropout); variant 2 stacks two LSTM layers (128 then 64) with dropout
     0.35 after each. hidden_sizes/dropout_prob may be overridden for
-    reduced-size runs; defaults follow the variant.
+    reduced-size runs; None means the variant's default.
+
+    Types are checked exactly, so a bool or a float never passes as an int:
+    variant is 1 or 2; hidden_sizes is a list or tuple of `variant` positive
+    ints, stored as a tuple; dropout_prob is an int or float in [0, 1);
+    seq_len is a positive int. A ValueError names the bad field.
     """
 
     variant: int
     seq_len: int = BONN_SEQ_LEN
-    hidden_sizes: tuple = ()
+    hidden_sizes: tuple | None = None
     dropout_prob: float | None = None
 
     def __post_init__(self):
-        if self.variant not in (1, 2):
-            raise ValueError(f"variant must be 1 or 2, got {self.variant}")
-        if not self.hidden_sizes:
-            default = MODEL1_HIDDEN if self.variant == 1 else MODEL2_HIDDEN
-            object.__setattr__(self, "hidden_sizes", default)
-        else:
-            object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if self.dropout_prob is None:
-            object.__setattr__(self, "dropout_prob", 0.0 if self.variant == 1 else MODEL2_DROPOUT)
-        if len(self.hidden_sizes) != self.variant:
-            raise ValueError(
-                f"variant {self.variant} needs {self.variant} LSTM layer(s), got {self.hidden_sizes}"
-            )
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(f"hidden sizes must be positive, got {self.hidden_sizes}")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
-        if self.seq_len < 1:
-            raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
+        variant, hidden, dropout = self.variant, self.hidden_sizes, self.dropout_prob
+        if type(variant) is not int or variant not in VARIANT_DEFAULTS:
+            raise ValueError(f"variant must be 1 or 2, got {variant!r}")
+        if hidden is None:
+            hidden = VARIANT_DEFAULTS[variant][0]
+        elif type(hidden) not in (list, tuple) or not all(type(h) is int and h >= 1 for h in hidden):
+            raise ValueError(f"hidden_sizes must be a list of positive integers, got {hidden!r}")
+        elif len(hidden) != variant:
+            raise ValueError(f"variant {variant} needs {variant} LSTM layer(s), got hidden_sizes {hidden!r}")
+        if dropout is None:
+            dropout = VARIANT_DEFAULTS[variant][1]
+        elif type(dropout) not in (int, float) or not 0.0 <= dropout < 1.0:
+            raise ValueError(f"dropout_prob must be a number in [0, 1), got {dropout!r}")
+        if type(self.seq_len) is not int or self.seq_len < 1:
+            raise ValueError(f"seq_len must be a positive integer, got {self.seq_len!r}")
+        object.__setattr__(self, "hidden_sizes", tuple(hidden))
+        object.__setattr__(self, "dropout_prob", dropout)
 
 
-def _layout(config: ModelConfig):
+def layout(config: ModelConfig):
     """(name, shape) of every parameter block, in storage order."""
     table, d = [], 1
     for n, h in enumerate(config.hidden_sizes, start=1):
@@ -264,7 +266,7 @@ def param_count(config: ModelConfig):
     Returns (total, [(layer_name, count), ...]).
     """
     layers = {}
-    for name, shape in _layout(config):
+    for name, shape in layout(config):
         layer = name.split(".")[0]
         layers[layer] = layers.get(layer, 0) + math.prod(shape)
     return sum(layers.values()), list(layers.items())
@@ -342,7 +344,7 @@ class Model:
         if vec.shape != self.params.shape:
             raise ShapeError(f"vector shape {vec.shape} != params shape {self.params.shape}")
         views, end = {}, 0
-        for name, shape in _layout(self.config):
+        for name, shape in layout(self.config):
             start, end = end, end + math.prod(shape)
             views[name] = vec[start:end].reshape(shape)
         return views
