@@ -317,7 +317,6 @@ _synth_n = _bounded(int, lambda v: v >= 1 and v % 10 == 0, "a positive multiple 
 
 
 def _add_train_flags(sub) -> None:
-    sub.add_argument("--model", type=int, choices=(1, 2), default=1, help="architecture variant (default 1)")
     sub.add_argument("--folds", type=_pos_int, default=10, help="number of folds (default 10)")
     sub.add_argument("--epochs", type=_nonneg_int, default=20, help="training epochs per fold (default 20)")
     sub.add_argument("--batch", type=_pos_int, default=4, help="mini-batch size (default 4)")
@@ -332,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     train = subs.add_parser("train", help="train one pair over k folds and write artifacts")
+    train.add_argument("--model", type=int, choices=(1, 2), default=1, help="architecture variant (default 1)")
     _add_data_flags(train)
     _add_train_flags(train)
     train.set_defaults(func=cmd_train)
@@ -376,6 +376,9 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except (EegLstmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

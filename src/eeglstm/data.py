@@ -231,7 +231,10 @@ def gen_synthetic(
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    t = np.arange(seq_len, dtype=np.float64) / float(sample_rate_hz)
+    try:
+        t = np.arange(seq_len, dtype=np.float64) / float(sample_rate_hz)
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded": no array of that length can exist
+        raise MemoryError(f"seq_len {seq_len}: {exc}") from None
     rng = np.random.default_rng(int(seed))
     pair = ("syn0", "syn1")
     rows = []

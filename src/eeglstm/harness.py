@@ -201,7 +201,7 @@ def run_experiment(
 
     Every fold gets its own split and its own derived training seed; fold
     execution is order-independent, so jobs > 1 runs folds in parallel
-    processes with identical results.
+    processes with identical results, starting at most one worker per fold.
     """
     splits = kfold_split(data.n_per_class, k, seed)
     config = ModelConfig(variant=variant, seq_len=data.seq_len)
@@ -211,8 +211,9 @@ def run_experiment(
         splits,
         [data] * k,
     )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, k)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             folds = list(pool.map(train_model, *args))
     else:
         folds = list(map(train_model, *args))

@@ -82,6 +82,8 @@ class TestUsageErrors:
             (["gen-synth", "--spec", "amp=1e308,noise=1e308"], "--spec"),
             (["train", "--synthetic", "amp=1e308,noise=1e308"], "--synthetic"),
             (["gen-synth", "--spec", "n=10"], "--spec"),
+            # --model names the variant of one train run; reproduce fixes each pair's variant
+            (["reproduce", "--data", "corpus", "--model", "2"], "--model"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
@@ -96,6 +98,29 @@ class TestDataErrors:
         code = run(["train", "--data", str(tmp_path / "nowhere"), "--pair", "A,E"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestAllocationErrors:
+    """A length no array can hold fails as one line with exit 1, naming no flag given correctly."""
+
+    def test_train_length_beyond_memory(self, capsys):
+        assert run(SMALL_TRAIN[:4] + [str(10**15)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seq_len", [10**15, 10**30])
+    def test_evaluate_length_from_checkpoint(self, seq_len, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
+        path = out / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["model"]["seq_len"] = seq_len
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["evaluate", "--checkpoint", str(path), "--synthetic", "default"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "--synthetic" not in err
 
 
 class TestTrain:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eeglstm.data import FoldSplit, ToneSpec, gen_synthetic, kfold_split
+from eeglstm import harness
 from eeglstm.errors import EegLstmError, ShapeError
 from eeglstm.harness import (
     CURVES_HEADER,
@@ -189,6 +190,30 @@ class TestRunExperiment:
         seq = run_experiment(data, 1, k=2, seed=5, tcfg=tcfg, jobs=1)
         par = run_experiment(data, 1, k=2, seed=5, tcfg=tcfg, jobs=2)
         assert experiment_to_dict(seq) == experiment_to_dict(par)
+
+    def test_jobs_start_at_most_one_worker_per_fold(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Runs tasks in this process and records the worker count asked for."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        tcfg = TrainConfig(epochs=1, seed=0)
+        run_experiment(tiny_dataset(), 1, k=2, seed=5, tcfg=tcfg, jobs=100000)
+        run_experiment(tiny_dataset(), 1, k=1, seed=5, tcfg=tcfg, jobs=100000)
+        assert started == [2]
 
     def test_fold_seeds_are_stable_and_distinct(self):
         assert fold_train_seed(7, 0) == fold_train_seed(7, 0)
