@@ -221,7 +221,8 @@ def gen_synthetic(
 
     The two sets are named syn0 (class 0) and syn1 (class 1).
 
-    Raises ValueError if a generated value is not finite (float64 overflow).
+    Raises ValueError if a generated value is not finite (float64 overflow),
+    and MemoryError if no array of seq_len values can be allocated.
     """
     if seq_len < 2:
         raise ValueError(f"seq_len must be >= 2, got {seq_len}")
@@ -233,7 +234,7 @@ def gen_synthetic(
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     try:
         t = np.arange(seq_len, dtype=np.float64) / float(sample_rate_hz)
-    except ValueError as exc:  # numpy's "Maximum allowed size exceeded": no array of that length can exist
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
         raise MemoryError(f"seq_len {seq_len}: {exc}") from None
     rng = np.random.default_rng(int(seed))
     pair = ("syn0", "syn1")
