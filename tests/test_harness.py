@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eeglstm.data import FoldSplit, ToneSpec, gen_synthetic, kfold_split
 from eeglstm import harness
+from eeglstm.data import FoldSplit, ToneSpec, gen_synthetic, kfold_split
 from eeglstm.errors import EegLstmError, ShapeError
 from eeglstm.harness import (
     CURVES_HEADER,
