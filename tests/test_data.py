@@ -44,11 +44,28 @@ class TestLoader:
         assert rec.sequences[3][0] == 48.0
 
     def test_values_equal_file_values_exactly(self, tmp_path):
-        d = tmp_path / "A"
-        d.mkdir()
+        d = write_set(tmp_path, "A", seq_len=3)
         (d / "A001.txt").write_text("12\n-7\n0\n")
-        rec = load_bonn_set(tmp_path, "A", expected_len=3, expected_count=1)
+        rec = load_bonn_set(tmp_path, "A", expected_len=3)
         assert np.array_equal(rec.sequences[0], [12.0, -7.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "content,expected",
+        [
+            (b"\x1f7\x1f\n12\n-3\n", [7.0, 12.0, -3.0]),
+            (b"\t7\t\n 12 \n-3\t\n", [7.0, 12.0, -3.0]),
+            (b"7\r\n12\r\n-3\r\n", [7.0, 12.0, -3.0]),
+            (b"007\n0012\n-03\n", [7.0, 12.0, -3.0]),
+            (b"-0\n0\n-00\n", [0.0, 0.0, 0.0]),
+        ],
+        ids=["unit-separator-padding", "tab-padding", "crlf", "leading-zeros", "negative-zero"],
+    )
+    def test_accepted_line_forms(self, tmp_path, content, expected):
+        d = write_set(tmp_path, "A", seq_len=3)
+        (d / "A001.txt").write_bytes(content)
+        values = load_bonn_set(tmp_path, "A", expected_len=3).sequences[0]
+        # tobytes tells -0.0 from +0.0
+        assert values.tobytes() == np.array(expected).tobytes()
 
     def test_resolves_bonn_code_directory(self, corpus):
         rec = load_bonn_set(corpus, "E", expected_len=16)
@@ -73,22 +90,29 @@ class TestLoader:
             (b"1\n1_000\n3\n", r"A001\.txt:2.*'1_000'"),
             (b"1\n-2\r\n +5 \n", r"A001\.txt:3.*'\+5'"),
             (b"1\n+5\n3\n4\n5\n6\n7\n8\nx7\n", r"A001\.txt:2.*'\+5'"),
+            (b"\x1f7\n+5\n3\n", r"A001\.txt:2.*'\+5'"),
         ],
-        ids=["non-integer", "non-ascii", "overflow", "digit-separator", "plus-sign", "plus-then-letter"],
+        ids=[
+            "non-integer",
+            "non-ascii",
+            "overflow",
+            "digit-separator",
+            "plus-sign",
+            "plus-then-letter",
+            "unit-separator-then-plus",
+        ],
     )
     def test_non_integer_line_names_file_and_line(self, tmp_path, content, match):
-        d = tmp_path / "A"
-        d.mkdir()
+        d = write_set(tmp_path, "A", seq_len=3)
         (d / "A001.txt").write_bytes(content)
         with pytest.raises(IngestionError, match=match):
-            load_bonn_set(tmp_path, "A", expected_len=3, expected_count=1)
+            load_bonn_set(tmp_path, "A", expected_len=3)
 
     def test_wrong_sample_count_in_file(self, tmp_path):
-        d = tmp_path / "A"
-        d.mkdir()
+        d = write_set(tmp_path, "A", seq_len=3)
         (d / "A001.txt").write_text("1\n2\n")
         with pytest.raises(IngestionError, match="expected 3 samples, found 2"):
-            load_bonn_set(tmp_path, "A", expected_len=3, expected_count=1)
+            load_bonn_set(tmp_path, "A", expected_len=3)
 
     def test_unknown_set_id(self, corpus):
         with pytest.raises(ValueError):
@@ -109,11 +133,10 @@ class TestLoader:
         assert all(seq.shape == (4097,) for seq in rec.sequences)
 
     def test_default_length_rejects_4096_line_files(self, tmp_path):
-        d = tmp_path / "A"
-        d.mkdir()
+        d = write_set(tmp_path, "A", seq_len=4097)
         (d / "A001.txt").write_text("\n".join("1" for _ in range(4096)) + "\n")
         with pytest.raises(IngestionError, match="expected 4097 samples, found 4096"):
-            load_bonn_set(tmp_path, "A", expected_count=1)
+            load_bonn_set(tmp_path, "A")
 
 
 class TestPairDataset:
