@@ -94,6 +94,16 @@ def resolve_set_dir(root, set_id: str) -> Path:
     raise IngestionError(f"no directory for set {set_id} under {root} (tried {', '.join(candidates)})")
 
 
+def _is_sample_line(line: str) -> bool:
+    """The line format: a decimal integer, optionally negative, padded with
+    whitespace: int(line.strip()) without the "_" and "+" that int() takes."""
+    try:
+        int(line.strip())
+    except ValueError:
+        return False
+    return "_" not in line and "+" not in line
+
+
 def _read_sequence(path: Path, expected_len: int) -> np.ndarray:
     try:
         text = path.read_text(encoding="ascii")
@@ -101,18 +111,13 @@ def _read_sequence(path: Path, expected_len: int) -> np.ndarray:
         byte = exc.object[exc.start]
         raise IngestionError(f"{path}: not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
     lines = text.splitlines()
-    values = []
-    rejected = None
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            values.append(int(line.strip()))
-        except ValueError:
-            rejected = lineno
-            break
-    if rejected or "_" in text or "+" in text:
-        # int() also takes digit separators and a plus sign, which the format
-        # does not; the first bad line is looked for only once a file fails.
-        lineno = next(n for n, line in enumerate(lines, start=1) if n == rejected or "_" in line or "+" in line)
+    try:
+        values = list(map(int, map(str.strip, lines)))
+    except ValueError:
+        values = None
+    if values is None or "_" in text or "+" in text:
+        # The line-by-line check runs only once a file fails.
+        lineno = next(n for n, line in enumerate(lines, start=1) if not _is_sample_line(line))
         raise IngestionError(f"{path}:{lineno}: not an integer: {lines[lineno - 1].strip()!r}")
     if len(values) != expected_len:
         raise IngestionError(f"{path}: expected {expected_len} samples, found {len(values)}")
@@ -124,20 +129,15 @@ def _read_sequence(path: Path, expected_len: int) -> np.ndarray:
         raise IngestionError(f"{path}:{lineno}: integer beyond float64 range") from None
 
 
-def load_bonn_set(
-    directory,
-    set_id: str,
-    expected_len: int = BONN_SEQ_LEN,
-    expected_count: int = BONN_SET_SIZE,
-) -> RecordingSet:
-    """Load one recording set from `directory` (the corpus root).
+def load_bonn_set(directory, set_id: str, expected_len: int = BONN_SEQ_LEN) -> RecordingSet:
+    """Load one recording set of BONN_SET_SIZE files from `directory` (the corpus root).
 
     Files are parsed in filename order; values are kept raw (no scaling).
     """
     set_dir = resolve_set_dir(directory, set_id)
     files = sorted(p for p in set_dir.iterdir() if p.suffix.lower() == ".txt")
-    if len(files) != expected_count:
-        raise IngestionError(f"{set_dir}: expected {expected_count} .txt files, found {len(files)}")
+    if len(files) != BONN_SET_SIZE:
+        raise IngestionError(f"{set_dir}: expected {BONN_SET_SIZE} .txt files, found {len(files)}")
     sequences = np.stack([_read_sequence(p, expected_len) for p in files])
     return RecordingSet(set_id=set_id, sequences=sequences)
 
