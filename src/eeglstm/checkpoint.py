@@ -99,12 +99,10 @@ def load_checkpoint(path, expect_variant: int | None = None):
             raise CheckpointError(f"{name}: malformed parameter block: {type(exc).__name__}: {exc}") from exc
         if type(shape) is not list or not all(type(n) is int for n in shape):
             raise CheckpointError(f"{name}: checkpoint shape {shape!r} is not a list of integers")
-        # A bare number stands for a one-value list.
-        values = data if type(data) is list else [data]
-        if not set(map(type, values)) <= _NUMBER_TYPES:
+        if type(data) is not list or not set(map(type, data)) <= _NUMBER_TYPES:
             raise CheckpointError(f"{name}: checkpoint data is not a flat list of numbers")
         try:
-            data = np.array(values, dtype=np.float64)
+            data = np.array(data, dtype=np.float64)
         except OverflowError as exc:
             raise CheckpointError(f"{name}: checkpoint value out of float64 range: {exc}") from exc
         if shape != list(expected):
@@ -119,7 +117,7 @@ def load_checkpoint(path, expect_variant: int | None = None):
     standardized = _require(doc, "standardized")
     if not isinstance(standardized, bool):
         raise CheckpointError(f"invalid field 'standardized' in checkpoint: {standardized!r} is not true or false")
-    provenance = doc.get("provenance", {})
+    provenance = _require(doc, "provenance")
     if not isinstance(provenance, dict):
         raise CheckpointError(f"invalid field 'provenance' in checkpoint: {provenance!r} is not an object")
     return model, {"standardized": standardized, "provenance": provenance}

@@ -23,7 +23,7 @@ from .layers import Model, ModelConfig
 from .metrics import DECISION_THRESHOLD
 from .optim import TrainConfig
 
-SYNTH_DEFAULTS = {"f0": 2.0, "f1": 10.0, "amp": 1.0, "noise": 0.1, "rate": 64.0, "n": 100}
+SYNTH_DEFAULTS = {"f0": 2.0, "f1": 10.0, "amp": 1.0, "noise": 0.1, "rate": 64.0, "n": datamod.BONN_SET_SIZE}
 SYNTH_KEYS = tuple(SYNTH_DEFAULTS)
 
 
@@ -78,8 +78,8 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _resolve_dataset(args, parser):
-    """Build the dataset from --data/--pair or --synthetic."""
+def _resolve_dataset(args, parser, seq_len):
+    """Build the dataset from --data/--pair or --synthetic; seq_len None means the source's default."""
     if args.data and args.synthetic:
         parser.error("--data and --synthetic are mutually exclusive")
     if not args.data and not args.synthetic:
@@ -88,14 +88,14 @@ def _resolve_dataset(args, parser):
         if not args.pair:
             parser.error("--data requires --pair X,Y")
         pair = _parse_pair(args.pair, parser)
-        seq_len = datamod.BONN_SEQ_LEN if args.seq_len is None else args.seq_len
+        seq_len = datamod.BONN_SEQ_LEN if seq_len is None else seq_len
         first = datamod.load_bonn_set(args.data, pair[0], expected_len=seq_len)
         second = datamod.load_bonn_set(args.data, pair[1], expected_len=seq_len)
         dataset = datamod.make_pair_dataset(first, second)
         source = f"bonn:{args.data}"
     else:
         spec = _parse_synth_spec(args.synthetic, parser)
-        seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if args.seq_len is None else args.seq_len
+        seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if seq_len is None else seq_len
         try:
             dataset = _build_synthetic(spec, seq_len, args.seed)
         except ValueError as exc:
@@ -105,7 +105,7 @@ def _resolve_dataset(args, parser):
 
 
 def cmd_train(args, parser) -> int:
-    dataset, source = _resolve_dataset(args, parser)
+    dataset, source = _resolve_dataset(args, parser, args.seq_len)
     if args.standardize:
         dataset = datamod.standardize_dataset(dataset)
     tcfg = _train_config(args)
@@ -158,9 +158,7 @@ def _model_from_fold(result, fold):
 
 def cmd_evaluate(args, parser) -> int:
     model, meta = ckpt.load_checkpoint(args.checkpoint, expect_variant=args.model)
-    if args.seq_len is None:
-        args.seq_len = model.config.seq_len
-    dataset, source = _resolve_dataset(args, parser)
+    dataset, source = _resolve_dataset(args, parser, model.config.seq_len)
     if meta["standardized"]:
         dataset = datamod.standardize_dataset(dataset)
     _print_config(
@@ -291,7 +289,6 @@ def _add_data_flags(sub) -> None:
         help="use a generated corpus: 'default' or key=value list "
         f"({','.join(SYNTH_KEYS)}), e.g. f0=2,f1=10,noise=0.1",
     )
-    sub.add_argument("--seq-len", type=_pos_int, dest="seq_len", help="sequence length (default 4097 on-disk, 128 synthetic)")
     sub.add_argument("--seed", type=_nonneg_int, default=0, help="master seed (default 0)")
 
 
@@ -332,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = subs.add_parser("train", help="train one pair over k folds and write artifacts")
     train.add_argument("--model", type=int, choices=(1, 2), default=1, help="architecture variant (default 1)")
+    train.add_argument("--seq-len", type=_pos_int, dest="seq_len", help="sequence length (default 4097 on-disk, 128 synthetic)")
     _add_data_flags(train)
     _add_train_flags(train)
     train.set_defaults(func=cmd_train)

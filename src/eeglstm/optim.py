@@ -45,8 +45,7 @@ def bce_loss(p, y):
     """Binary cross-entropy and its derivative with respect to `p`.
 
     `p` is clipped to [1e-7, 1 - 1e-7] and the derivative is evaluated at the
-    clipped value, so both stay finite. Scalars in, scalars out; arrays are
-    processed elementwise.
+    clipped value, so both stay finite. Arrays are processed elementwise.
 
     Returns (loss, dloss_dp).
     """
@@ -57,8 +56,6 @@ def bce_loss(p, y):
     clipped = np.clip(p_arr, PROB_CLIP, 1.0 - PROB_CLIP)
     loss = -(y_arr * np.log(clipped) + (1.0 - y_arr) * np.log1p(-clipped))
     grad = -y_arr / clipped + (1.0 - y_arr) / (1.0 - clipped)
-    if p_arr.ndim == 0 and y_arr.ndim == 0:
-        return float(loss), float(grad)
     return loss, grad
 
 

@@ -95,6 +95,16 @@ def test_missing_model_field(model, tmp_path):
         load_checkpoint(path)
 
 
+def test_missing_provenance(model, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, model)
+    doc = json.loads(path.read_text())
+    del doc["provenance"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="provenance"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "section,key,value,match",
     [
@@ -108,7 +118,7 @@ def test_missing_model_field(model, tmp_path):
         ("params", "lstm2.bias", [0.0] * 16, "lstm2.bias"),
         ("params", "lstm2.recurrent", {"shape": None, "data": [0.0] * 64}, "lstm2.recurrent"),
         ("params", "dense.weights", {"shape": [4], "data": [0, float("nan"), 0, 0]}, "dense.weights.*non-finite"),
-        ("params", "dense.bias", {"shape": [], "data": float("inf")}, "dense.bias.*non-finite"),
+        ("params", "dense.bias", {"shape": [], "data": [float("inf")]}, "dense.bias.*non-finite"),
         (None, "standardized", "false", "standardized"),
         (None, "format_version", True, "format_version"),
         (None, "format_version", 1.0, "format_version"),
@@ -131,6 +141,8 @@ def test_missing_model_field(model, tmp_path):
         ("model", "dropout_prob", None, "dropout_prob"),
         # checked against the stored blocks before any array of that size exists
         ("model", "hidden_sizes", [10**7, 4], "lstm1.kernel"),
+        # save_checkpoint writes every block's data as a list, one value included
+        ("params", "dense.bias", {"shape": [], "data": 0.5}, "dense.bias"),
     ],
 )
 def test_malformed_field_is_checkpoint_error(model, tmp_path, section, key, value, match):

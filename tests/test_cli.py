@@ -84,6 +84,8 @@ class TestUsageErrors:
             (["gen-synth", "--spec", "n=10"], "--spec"),
             # --model names the variant of one train run; reproduce fixes each pair's variant
             (["reproduce", "--data", "corpus", "--model", "2"], "--model"),
+            # evaluate reads the recording length from the checkpoint
+            (["evaluate", "--checkpoint", "ckpt.json", "--synthetic", "--seq-len", "20"], "--seq-len"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
@@ -141,7 +143,7 @@ class TestTrain:
         assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
         code = run([
             "evaluate", "--checkpoint", str(out / "checkpoint.json"),
-            "--synthetic", "default", "--seq-len", "32", "--seed", "3",
+            "--synthetic", "default", "--seed", "3",
         ])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
@@ -151,7 +153,7 @@ class TestTrain:
         assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
         code = run([
             "evaluate", "--checkpoint", str(out / "checkpoint.json"), "--model", "2",
-            "--synthetic", "default", "--seq-len", "32",
+            "--synthetic", "default",
         ])
         assert code == 1  # variant mismatch is a load error
 
