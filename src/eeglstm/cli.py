@@ -249,9 +249,9 @@ def cmd_gen_synth(args, parser) -> int:
 
 
 def cmd_gradcheck(args, parser) -> int:
-    hidden_sizes = (args.hidden,) if args.hidden else (4, 8)
-    seq_lens = (args.steps,) if args.steps else (5, 20)
-    variants = (args.model,) if args.model else (1, 2)
+    hidden_sizes = (args.hidden,) if args.hidden else gc.GRID_HIDDEN_SIZES
+    seq_lens = (args.steps,) if args.steps else gc.GRID_SEQ_LENS
+    variants = (args.model,) if args.model else gc.GRID_VARIANTS
     _print_config(
         "gradcheck",
         {
@@ -314,12 +314,13 @@ _synth_n = _bounded(int, lambda v: v >= 1 and v % 10 == 0, "a positive multiple 
 
 
 def _add_train_flags(sub) -> None:
-    sub.add_argument("--folds", type=_pos_int, default=10, help="number of folds (default 10)")
-    sub.add_argument("--epochs", type=_nonneg_int, default=20, help="training epochs per fold (default 20)")
-    sub.add_argument("--batch", type=_pos_int, default=4, help="mini-batch size (default 4)")
-    sub.add_argument("--lr", type=_pos_float, default=1e-3, help="learning rate (default 1e-3)")
+    recipe = TrainConfig()
+    sub.add_argument("--folds", type=_pos_int, default=10, help="number of folds (default %(default)s)")
+    sub.add_argument("--epochs", type=_nonneg_int, default=recipe.epochs, help="training epochs per fold (default %(default)s)")
+    sub.add_argument("--batch", type=_pos_int, default=recipe.batch_size, help="mini-batch size (default %(default)s)")
+    sub.add_argument("--lr", type=_pos_float, default=recipe.learning_rate, help="learning rate (default %(default)s)")
     sub.add_argument("--standardize", action="store_true", help="per-sequence standardization (recorded in artifacts)")
-    sub.add_argument("--jobs", type=_pos_int, default=1, help="parallel fold workers (default 1)")
+    sub.add_argument("--jobs", type=_pos_int, default=1, help="parallel fold workers (default %(default)s)")
     sub.add_argument("--out", default="runs", help="output directory (default ./runs)")
 
 
@@ -358,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen_synth)
 
     grad = subs.add_parser("gradcheck", help="finite-difference check of the backward pass")
-    grad.add_argument("--hidden", type=_pos_int, help="hidden size (default: 4 and 8)")
-    grad.add_argument("--steps", type=_pos_int, help="sequence length (default: 5 and 20)")
-    grad.add_argument("--model", type=int, choices=(1, 2), help="variant (default: both)")
+    grad.add_argument("--hidden", type=_pos_int, help=f"hidden size (default: each of {gc.GRID_HIDDEN_SIZES})")
+    grad.add_argument("--steps", type=_pos_int, help=f"sequence length (default: each of {gc.GRID_SEQ_LENS})")
+    grad.add_argument("--model", type=int, choices=(1, 2), help=f"variant (default: each of {gc.GRID_VARIANTS})")
     grad.add_argument("--seed", type=_nonneg_int, default=0)
     grad.set_defaults(func=cmd_gradcheck)
 

@@ -110,7 +110,8 @@ def _read_sequence(path: Path, expected_len: int) -> np.ndarray:
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise IngestionError(f"{path}: not ASCII text: byte {byte:#04x} at offset {exc.start}") from None
-    lines = text.splitlines()
+    # Lines end at "\n" only (read_text maps "\r\n" and "\r" to it); splitlines would also split at "\f".
+    lines = text.removesuffix("\n").split("\n") if text else []
     try:
         values = list(map(int, map(str.strip, lines)))
     except ValueError:

@@ -14,6 +14,11 @@ REL_TOL = 1e-5
 FD_EPS = 1e-5
 BATCH = 3  # sequences per case
 
+# The default grid of cases: every variant at every hidden size and length.
+GRID_HIDDEN_SIZES = (4, 8)
+GRID_SEQ_LENS = (5, 20)
+GRID_VARIANTS = (1, 2)
+
 # Denominator floor for the relative error. A central difference of an O(1)
 # loss at eps=1e-5 carries ~|f|*ulp/eps ~ 1.5e-11 absolute noise (observed up
 # to 1.3e-11), so gradients smaller than the floor cannot be certified to
@@ -86,7 +91,7 @@ def check_model(model: Model, x, y):
     return [BlockReport(name=name, max_rel_err=float(block.max())) for name, block in errs.items()]
 
 
-def run_gradcheck(hidden_sizes=(4, 8), seq_lens=(5, 20), variants=(1, 2), seed: int = 0):
+def run_gradcheck(hidden_sizes=GRID_HIDDEN_SIZES, seq_lens=GRID_SEQ_LENS, variants=GRID_VARIANTS, seed: int = 0):
     """Run the finite-difference suite over a grid of model shapes.
 
     Variant 2 cases use stacked hidden sizes (2h, h). Dropout stays in eval

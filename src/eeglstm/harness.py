@@ -13,7 +13,7 @@ from . import metrics
 from .data import BONN_SEQ_LEN, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
 from .errors import EegLstmError
 from .layers import Model, ModelConfig, init_params
-from .optim import AdamState, TrainConfig, adam_step, bce_loss
+from .optim import TrainConfig, adam_step, bce_loss
 
 # The six evaluated set pairs and the model variant used for each.
 TABLE_PAIRS = (
@@ -110,7 +110,9 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     )
     model = init_params(config, init_seed)
     rng = np.random.default_rng(stream_seed)
-    adam = AdamState.zeros(model.params.size)
+    # Adam's moment estimates and step count run across every epoch of the fold.
+    m, v = np.zeros((2, model.params.size))
+    step = 0
     best_epoch = best_acc = val_report = None
     best_params = model.params.copy()
     curves = []
@@ -130,8 +132,8 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
                     f"fold {split.fold_index}: non-finite training loss at epoch {epoch}, batch {n}"
                 )
             model.backward(cache, dloss / batch.size)
-            new_params, adam = adam_step(model.params, model.grad, adam, tcfg)
-            model.params[...] = new_params
+            step += 1
+            adam_step(model.params, model.grad, m, v, step, tcfg)
             loss_sum += batch_loss
         val_scores = model.scores(x_val)
         val_losses, _ = bce_loss(val_scores, y_val)

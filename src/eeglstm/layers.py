@@ -3,7 +3,7 @@ backward passes (backpropagation through time).
 
 LSTM gate weights are stored stacked: one matrix product per time step
 computes every gate pre-activation. Column blocks are ordered input, forget,
-cell candidate, output; ``gate_bias`` gives the per-gate view of a bias.
+cell candidate, output.
 The forward cache holds a layer's gate activations in one (batch, time,
 4*hidden) array in the same column order: the input projection for every
 step, overwritten step by step with that step's activations.
@@ -55,17 +55,6 @@ class LstmLayerParams:
     recurrent: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self):
-        k, r, b = self.kernel, self.recurrent, self.bias
-        if k.ndim != 2 or r.ndim != 2 or b.ndim != 1:
-            raise ShapeError(
-                f"LSTM params must be (d,4h), (h,4h), (4h,), got {k.shape}, {r.shape}, {b.shape}"
-            )
-        if r.shape[1] != 4 * r.shape[0] or k.shape[1] != r.shape[1] or b.shape[0] != r.shape[1]:
-            raise ShapeError(
-                f"inconsistent LSTM param shapes: kernel {k.shape}, recurrent {r.shape}, bias {b.shape}"
-            )
-
     @property
     def input_dim(self) -> int:
         return self.kernel.shape[0]
@@ -73,10 +62,6 @@ class LstmLayerParams:
     @property
     def hidden_dim(self) -> int:
         return self.recurrent.shape[0]
-
-    def gate_bias(self, gate: str) -> np.ndarray:
-        """View of the (hidden,) bias of gate i/f/c/o."""
-        return self.bias[_gate_slice(gate, self.hidden_dim)]
 
 
 @dataclass
@@ -185,27 +170,13 @@ class DenseParams:
     weights: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self):
-        if self.weights.ndim != 1 or self.bias.ndim != 0:
-            raise ShapeError(
-                f"dense params must be (h,) weights and a scalar bias, got {self.weights.shape}, {self.bias.shape}"
-            )
 
+def dropout_forward(values, p: float, rng):
+    """Inverted dropout, a training-time operation: each entry is zeroed with
+    probability p and survivors are scaled by 1/(1-p).
 
-def dropout_forward(values, p: float, rng=None, train: bool = False):
-    """Inverted dropout.
-
-    Eval mode (train=False) is the identity. In train mode each entry is
-    zeroed with probability p and survivors are scaled by 1/(1-p); the mask
-    is returned for the backward pass (None when no masking happened).
+    Returns (values * mask, mask); the mask is kept for the backward pass.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    values = np.asarray(values, dtype=np.float64)
-    if not train or p == 0.0:
-        return values, None
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
     mask = (rng.random(values.shape) >= p) / (1.0 - p)
     return values * mask, mask
 
@@ -300,7 +271,7 @@ def init_params(config: ModelConfig, seed: int) -> "Model":
         layer.kernel[...] = _glorot_uniform(rng, layer.kernel.shape)
         for gate in GATE_NAMES:
             layer.recurrent[:, _gate_slice(gate, h)] = _orthogonal(rng, h)
-        layer.gate_bias("f")[...] = 1.0
+        layer.bias[_gate_slice("f", h)] = 1.0
     model.dense.weights[...] = _glorot_uniform(rng, (model.dense.weights.size, 1))[:, 0]
     return model
 
@@ -341,8 +312,6 @@ class Model:
 
     def blocks(self, vec) -> dict:
         """Map each block name, in storage order, to its reshaped view of vec."""
-        if vec.shape != self.params.shape:
-            raise ShapeError(f"vector shape {vec.shape} != params shape {self.params.shape}")
         views, end = {}, 0
         for name, shape in layout(self.config):
             start, end = end, end + math.prod(shape)
@@ -365,10 +334,12 @@ class Model:
         """Forward pass over a batch. Returns (probs, cache).
 
         Dropout (if configured) is applied after every LSTM layer in train
-        mode and consumes the supplied rng stream.
+        mode only, and consumes the supplied rng stream; otherwise the rng is
+        not needed and nothing is drawn from it.
         """
         x = self._as_batch(x)
-        if train and self.config.dropout_prob > 0.0 and rng is None:
+        p = self.config.dropout_prob if train else 0.0
+        if p > 0.0 and rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
         cache = ModelCache()
         last = len(self.lstm_layers) - 1
@@ -378,7 +349,7 @@ class Model:
             lcache = lstm_forward(feed, layer)
             cache.lstm_caches.append(lcache)
             out = lcache.h[:, -1] if idx == last else lcache.h
-            out, mask = dropout_forward(out, self.config.dropout_prob, rng, train)
+            out, mask = dropout_forward(out, p, rng) if p > 0.0 else (out, None)
             cache.dropout_masks.append(mask)
             feed = out
         z = out @ self.dense.weights + self.dense.bias

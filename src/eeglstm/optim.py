@@ -59,37 +59,21 @@ def bce_loss(p, y):
     return loss, grad
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment estimates and the step counter."""
+def adam_step(params, grads, m, v, t: int, cfg: TrainConfig) -> None:
+    """One Adam update with bias correction, in place.
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(np.zeros(n), np.zeros(n), 0)
-
-
-def adam_step(params, grads, state: AdamState, cfg: TrainConfig):
-    """One Adam update with bias correction.
-
-    t <- t+1; m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2; the step is
-    lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m/(1-b1^t), v_hat = v/(1-b2^t).
-    Pure: returns (new_params, new_state) and leaves the inputs untouched.
+    m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2; params <- params - the step
+    lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m/(1-b1^t), v_hat =
+    v/(1-b2^t) and t the 1-based number of this step. params, m and v are
+    float64 vectors of one length, updated in place; nothing is returned.
     """
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.ndim != 1 or not (params.shape == grads.shape == state.m.shape == state.v.shape):
+    if params.ndim != 1 or not (params.shape == grads.shape == m.shape == v.shape):
         raise ShapeError(
             "adam_step: mismatched lengths "
-            f"params={params.shape} grads={grads.shape} m={state.m.shape} v={state.v.shape}"
+            f"params={params.shape} grads={grads.shape} m={m.shape} v={v.shape}"
         )
-    t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads**2
+    m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * grads
+    v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * grads**2
     m_hat = m / (1.0 - cfg.beta1**t)
     v_hat = v / (1.0 - cfg.beta2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    return new_params, AdamState(m, v, t)
+    params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)

@@ -14,7 +14,7 @@ from eeglstm.gradcheck import REL_TOL, run_gradcheck
 from eeglstm.harness import run_experiment, run_reproduction
 from eeglstm.layers import ModelConfig, param_count
 from eeglstm.metrics import roc_auc
-from eeglstm.optim import AdamState, TrainConfig, adam_step
+from eeglstm.optim import TrainConfig, adam_step
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -72,7 +72,8 @@ def test_auc_oracle_equivalence():
 
 def test_adam_closed_form():
     cfg = TrainConfig()
-    new, _ = adam_step(np.array([0.0]), np.array([1.0]), AdamState.zeros(1), cfg)
+    new = np.array([0.0])
+    adam_step(new, np.array([1.0]), np.zeros(1), np.zeros(1), 1, cfg)
     m_hat = (0.1 * 1.0) / (1.0 - 0.9)
     v_hat = (0.001 * 1.0) / (1.0 - 0.999)
     expected = -cfg.learning_rate * m_hat / (math.sqrt(v_hat) + cfg.epsilon)

@@ -57,8 +57,9 @@ class TestLoader:
             (b"7\r\n12\r\n-3\r\n", [7.0, 12.0, -3.0]),
             (b"007\n0012\n-03\n", [7.0, 12.0, -3.0]),
             (b"-0\n0\n-00\n", [0.0, 0.0, 0.0]),
+            (b"\x0c7\x0c\n12\n-3\n", [7.0, 12.0, -3.0]),
         ],
-        ids=["unit-separator-padding", "tab-padding", "crlf", "leading-zeros", "negative-zero"],
+        ids=["unit-separator-padding", "tab-padding", "crlf", "leading-zeros", "negative-zero", "form-feed-padding"],
     )
     def test_accepted_line_forms(self, tmp_path, content, expected):
         d = write_set(tmp_path, "A", seq_len=3)
@@ -91,6 +92,7 @@ class TestLoader:
             (b"1\n-2\r\n +5 \n", r"A001\.txt:3.*'\+5'"),
             (b"1\n+5\n3\n4\n5\n6\n7\n8\nx7\n", r"A001\.txt:2.*'\+5'"),
             (b"\x1f7\n+5\n3\n", r"A001\.txt:2.*'\+5'"),
+            (b"1\x0c2\x0b3\x1c4", r"A001\.txt:1: not an integer"),
         ],
         ids=[
             "non-integer",
@@ -100,6 +102,7 @@ class TestLoader:
             "plus-sign",
             "plus-then-letter",
             "unit-separator-then-plus",
+            "separators-inside-a-line",
         ],
     )
     def test_non_integer_line_names_file_and_line(self, tmp_path, content, match):

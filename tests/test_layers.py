@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from eeglstm.errors import ShapeError
 from eeglstm.layers import (
-    DenseParams,
     LstmLayerParams,
     ModelConfig,
     dropout_forward,
@@ -263,49 +262,22 @@ class TestDense:
             p = model.scores(rng.uniform(-1, 1, (2, 8)))
             assert np.all((p > 0.0) & (p < 1.0))
 
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            DenseParams(np.zeros(4), np.zeros(1))  # bias must be a 0-d scalar
-        with pytest.raises(ShapeError):
-            DenseParams(np.zeros((4, 1)), np.zeros(()))
-
 
 class TestDropout:
-    def test_eval_mode_is_identity(self):
-        v = np.array([1.0, -2.0, 3.0])
-        out, mask = dropout_forward(v, 0.35, train=False)
-        assert np.array_equal(out, v)
-        assert mask is None
-
-    def test_p_zero_train_is_identity(self):
-        v = np.array([1.0, -2.0])
-        out, mask = dropout_forward(v, 0.0, rng=np.random.default_rng(0), train=True)
-        assert np.array_equal(out, v)
-        assert mask is None
-
-    def test_invalid_probability(self):
-        for p in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                dropout_forward(np.ones(3), p)
-
-    def test_train_mode_needs_rng(self):
-        with pytest.raises(ValueError):
-            dropout_forward(np.ones(3), 0.5, rng=None, train=True)
-
     def test_monte_carlo_expectation(self):
         # inverted dropout preserves the mean: one long constant vector
-        out, _ = dropout_forward(np.ones(100_000), 0.35, rng=np.random.default_rng(42), train=True)
+        out, _ = dropout_forward(np.ones(100_000), 0.35, np.random.default_rng(42))
         assert out.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_mask_is_deterministic_given_seed(self):
         v = np.ones(64)
-        out1, m1 = dropout_forward(v, 0.35, rng=np.random.default_rng(7), train=True)
-        out2, m2 = dropout_forward(v, 0.35, rng=np.random.default_rng(7), train=True)
+        out1, m1 = dropout_forward(v, 0.35, np.random.default_rng(7))
+        out2, m2 = dropout_forward(v, 0.35, np.random.default_rng(7))
         assert out1.tobytes() == out2.tobytes()
         assert m1.tobytes() == m2.tobytes()
 
     def test_mask_values_are_zero_or_scaled(self):
-        _, mask = dropout_forward(np.ones(1000), 0.35, rng=np.random.default_rng(1), train=True)
+        _, mask = dropout_forward(np.ones(1000), 0.35, np.random.default_rng(1))
         assert set(np.unique(mask)) == {0.0, 1.0 / 0.65}
 
 
@@ -338,6 +310,9 @@ class TestModelConfig:
             ({"variant": True}, "variant"),
             ({"variant": 1, "hidden_sizes": (6.0,)}, "hidden_sizes"),
             ({"variant": 1, "hidden_sizes": ()}, "hidden_sizes"),
+            ({"variant": 2, "dropout_prob": -0.1}, "dropout_prob"),
+            ({"variant": 2, "dropout_prob": 1.0}, "dropout_prob"),
+            ({"variant": 2, "dropout_prob": 1.5}, "dropout_prob"),
         ],
     )
     def test_rejects_malformed_fields(self, kwargs, match):
@@ -373,9 +348,10 @@ class TestInit:
     def test_forget_bias_ones_other_biases_zero(self):
         model = init_params(ModelConfig(variant=2, seq_len=8, hidden_sizes=(6, 4)), 3)
         for layer in model.lstm_layers:
-            assert np.all(layer.gate_bias("f") == 1.0)
-            for gate in "ico":
-                assert np.all(layer.gate_bias(gate) == 0.0)
+            b_i, b_f, b_c, b_o = np.split(layer.bias, 4)
+            assert np.all(b_f == 1.0)
+            for b in (b_i, b_c, b_o):
+                assert np.all(b == 0.0)
         assert model.dense.bias == 0.0
 
     def test_glorot_bounds_on_kernel(self):
@@ -430,6 +406,19 @@ class TestModel:
         model = init_params(ModelConfig(variant=2, seq_len=6, hidden_sizes=(4, 3)), 0)
         with pytest.raises(ValueError):
             model.forward(np.zeros((2, 6)), train=True)
+
+    def test_forward_without_dropout_draws_nothing(self):
+        # Model 1 has no dropout, and eval mode skips it: neither draws from
+        # the rng, and both give the eval scores bit for bit.
+        x = np.random.default_rng(0).standard_normal((3, 6))
+        for hidden, train in (((4,), True), ((4, 3), False)):
+            model = init_params(ModelConfig(variant=len(hidden), seq_len=6, hidden_sizes=hidden), 0)
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            probs, cache = model.forward(x, train=train, rng=rng)
+            assert rng.bit_generator.state == state
+            assert cache.dropout_masks == [None] * len(hidden)
+            assert probs.tobytes() == model.scores(x).tobytes()
 
     def test_train_forward_deterministic_given_seed(self):
         model = init_params(ModelConfig(variant=2, seq_len=10, hidden_sizes=(6, 4)), 2)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eeglstm.errors import ShapeError
-from eeglstm.optim import PROB_CLIP, AdamState, TrainConfig, adam_step, bce_loss
+from eeglstm.optim import PROB_CLIP, TrainConfig, adam_step, bce_loss
 
 
 class TestBceLoss:
@@ -56,16 +56,22 @@ class TestBceLoss:
         assert grad0 > 0.0
 
 
+def first_step(params, grads, cfg):
+    """params, m and v after one Adam step from zero moments."""
+    params, grads = np.array(params, dtype=np.float64), np.array(grads, dtype=np.float64)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    adam_step(params, grads, m, v, 1, cfg)
+    return params, m, v
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
-        params = np.array([1.0, -2.0, 3.5])
-        new, state = adam_step(params, np.zeros(3), AdamState.zeros(3), TrainConfig())
-        assert np.array_equal(new, params)
-        assert state.t == 1
+        params, _, _ = first_step([1.0, -2.0, 3.5], np.zeros(3), TrainConfig())
+        assert np.array_equal(params, [1.0, -2.0, 3.5])
 
     def test_single_step_closed_form(self):
         cfg = TrainConfig()
-        new, state = adam_step(np.array([0.0]), np.array([1.0]), AdamState.zeros(1), cfg)
+        new, m_new, v_new = first_step([0.0], [1.0], cfg)
         # independent closed form at t=1
         m = 0.1
         v = 0.001
@@ -74,21 +80,33 @@ class TestAdam:
         expected = -cfg.learning_rate * m_hat / (math.sqrt(v_hat) + cfg.epsilon)
         assert new[0] == pytest.approx(expected, abs=1e-16)
         assert new[0] == pytest.approx(-0.000999999990, abs=1e-12)
-        assert state.m[0] == pytest.approx(0.1) and state.v[0] == pytest.approx(0.001)
+        assert m_new[0] == pytest.approx(0.1) and v_new[0] == pytest.approx(0.001)
 
-    def test_inputs_untouched(self):
-        params = np.zeros(2)
-        grads = np.ones(2)
-        state = AdamState.zeros(2)
-        adam_step(params, grads, state, TrainConfig())
-        assert np.array_equal(params, np.zeros(2))
-        assert np.array_equal(state.m, np.zeros(2)) and state.t == 0
+    def test_updates_in_place_as_the_recurrence(self):
+        # A pure rewrite of Algorithm 1 of Kingma & Ba, run beside the
+        # in-place step: every step must agree bit for bit.
+        cfg = TrainConfig(learning_rate=0.01)
+        rng = np.random.default_rng(0)
+        params, m, v = rng.standard_normal(5), np.zeros(5), np.zeros(5)
+        ref_params, ref_m, ref_v = params.copy(), m.copy(), v.copy()
+        for t in range(1, 7):
+            g = rng.standard_normal(5)
+            g_before = g.copy()
+            assert adam_step(params, g, m, v, t, cfg) is None
+            ref_m = cfg.beta1 * ref_m + (1.0 - cfg.beta1) * g
+            ref_v = cfg.beta2 * ref_v + (1.0 - cfg.beta2) * g**2
+            m_hat = ref_m / (1.0 - cfg.beta1**t)
+            v_hat = ref_v / (1.0 - cfg.beta2**t)
+            ref_params = ref_params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            assert params.tobytes() == ref_params.tobytes()
+            assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes()
+            assert g.tobytes() == g_before.tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            adam_step(np.zeros(3), np.zeros(2), AdamState.zeros(3), TrainConfig())
+            adam_step(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3), 1, TrainConfig())
         with pytest.raises(ShapeError):
-            adam_step(np.zeros(3), np.zeros(3), AdamState.zeros(4), TrainConfig())
+            adam_step(np.zeros(3), np.zeros(3), np.zeros(4), np.zeros(4), 1, TrainConfig())
 
     @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_first_step_magnitude_identity(self, g):
@@ -96,7 +114,7 @@ class TestAdam:
         # i.e. ~lr up to eps/|g|
         for sign in (1.0, -1.0):
             cfg = TrainConfig()
-            new, _ = adam_step(np.array([0.0]), np.array([sign * g]), AdamState.zeros(1), cfg)
+            new, _, _ = first_step([0.0], [sign * g], cfg)
             expected = cfg.learning_rate * g / (g + cfg.epsilon)
             assert abs(new[0]) == pytest.approx(expected, rel=1e-12)
             assert math.copysign(1.0, new[0]) == -sign
@@ -108,9 +126,9 @@ class TestAdam:
         grads = [rng.standard_normal(5) for _ in range(4)]
 
         def run():
-            params, state = np.zeros(5), AdamState.zeros(5)
-            for g in grads:
-                params, state = adam_step(params, g, state, TrainConfig())
+            params, m, v = np.zeros(5), np.zeros(5), np.zeros(5)
+            for t, g in enumerate(grads, start=1):
+                adam_step(params, g, m, v, t, TrainConfig())
             return params
 
         assert run().tobytes() == run().tobytes()
