@@ -264,6 +264,30 @@ class TestDense:
 
 
 class TestDropout:
+    # Model.forward alone decides whether dropout runs: in eval mode, or in
+    # train mode at rate 0, it draws nothing from the rng, keeps no mask and
+    # gives the eval scores bit for bit.
+    @staticmethod
+    def assert_no_dropout(model, train):
+        x = np.random.default_rng(0).standard_normal((3, 6))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        probs, cache = model.forward(x, train=train, rng=rng)
+        assert rng.bit_generator.state == state
+        assert cache.dropout_masks == [None] * len(model.config.hidden_sizes)
+        assert probs.tobytes() == model.scores(x).tobytes()
+
+    def test_eval_mode_is_identity(self):
+        model = init_params(ModelConfig(variant=2, seq_len=6, hidden_sizes=(4, 3)), 0)
+        assert model.config.dropout_prob == 0.35
+        self.assert_no_dropout(model, train=False)
+
+    def test_p_zero_train_is_identity(self):
+        for variant, hidden, p in ((1, (4,), None), (2, (4, 3), 0.0)):
+            config = ModelConfig(variant=variant, seq_len=6, hidden_sizes=hidden, dropout_prob=p)
+            assert config.dropout_prob == 0.0
+            self.assert_no_dropout(init_params(config, 0), train=True)
+
     def test_monte_carlo_expectation(self):
         # inverted dropout preserves the mean: one long constant vector
         out, _ = dropout_forward(np.ones(100_000), 0.35, np.random.default_rng(42))
@@ -406,19 +430,6 @@ class TestModel:
         model = init_params(ModelConfig(variant=2, seq_len=6, hidden_sizes=(4, 3)), 0)
         with pytest.raises(ValueError):
             model.forward(np.zeros((2, 6)), train=True)
-
-    def test_forward_without_dropout_draws_nothing(self):
-        # Model 1 has no dropout, and eval mode skips it: neither draws from
-        # the rng, and both give the eval scores bit for bit.
-        x = np.random.default_rng(0).standard_normal((3, 6))
-        for hidden, train in (((4,), True), ((4, 3), False)):
-            model = init_params(ModelConfig(variant=len(hidden), seq_len=6, hidden_sizes=hidden), 0)
-            rng = np.random.default_rng(5)
-            state = rng.bit_generator.state
-            probs, cache = model.forward(x, train=train, rng=rng)
-            assert rng.bit_generator.state == state
-            assert cache.dropout_masks == [None] * len(hidden)
-            assert probs.tobytes() == model.scores(x).tobytes()
 
     def test_train_forward_deterministic_given_seed(self):
         model = init_params(ModelConfig(variant=2, seq_len=10, hidden_sizes=(6, 4)), 2)
