@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from hypothesis.extra.numpy import arrays
 
 from eeglstm.errors import ShapeError
 from eeglstm.layers import (
+    SCORE_CHUNK,
     LstmLayerParams,
     ModelConfig,
     dropout_forward,
     init_params,
     lstm_forward,
+    lstm_infer,
     param_count,
     sigmoid,
 )
@@ -488,3 +492,60 @@ class TestModel:
         s1 = model.scores(x)
         s2 = model.scores(x)
         assert s1.tobytes() == s2.tobytes()
+
+
+class TestScores:
+    """Model.scores runs lstm_infer over chunks of SCORE_CHUNK rows and must
+    give forward's eval probabilities bit for bit."""
+
+    def test_chunk_is_a_multiple_of_4(self):
+        assert SCORE_CHUNK % 4 == 0
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_equal_to_forward_bitwise(self, variant):
+        model = init_params(ModelConfig(variant=variant, seq_len=64), 3)
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 19, 20, 21, 22, 23, 41, 45):
+            x = rng.standard_normal((n, 64))
+            assert model.scores(x).tobytes() == model.forward(x)[0].tobytes(), n
+
+    @pytest.mark.parametrize("variant,seed", [(1, 8), (2, 1), (2, 6)])
+    def test_one_row_tail_joins_previous_chunk(self, variant, seed):
+        # With these seeds the last of 41 rows, scored alone, rounds differently.
+        model = init_params(ModelConfig(variant=variant, seq_len=64), seed)
+        x = np.random.default_rng(seed).standard_normal((41, 64))
+        assert model.scores(x).tobytes() == model.forward(x)[0].tobytes()
+
+    @pytest.mark.parametrize("d,hdim", itertools.product((1, 3), (1, 4, 6)))
+    def test_lstm_infer_equals_lstm_forward(self, d, hdim):
+        rng = np.random.default_rng(10 * d + hdim)
+        params = LstmLayerParams(
+            rng.uniform(-1, 1, (d, 4 * hdim)), rng.uniform(-1, 1, (hdim, 4 * hdim)), rng.uniform(-1, 1, 4 * hdim)
+        )
+        x = rng.standard_normal((5, 11, d))
+        assert lstm_infer(x, params).tobytes() == lstm_forward(x, params).h.tobytes()
+
+    def test_checks_input_like_forward(self):
+        model = small_model()
+        empty = model.scores(np.zeros((0, 8)))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        with pytest.raises(ShapeError):
+            model.scores(np.zeros((2, 7)))
+        with pytest.raises(ShapeError):
+            model.scores(np.zeros((2, 8, 1)))
+
+    def test_keeps_no_full_batch_cache(self):
+        model = init_params(ModelConfig(variant=1, seq_len=256), 0)
+        x = np.random.default_rng(0).standard_normal((200, 256))
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scores_200 = peak(model.scores, x)
+        assert scores_200 <= 1.5 * peak(model.scores, x[:40])
+        assert scores_200 < peak(model.forward, x) / 4
