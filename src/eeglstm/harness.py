@@ -77,10 +77,10 @@ class ExperimentResult:
 def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISION_THRESHOLD):
     """Score a dataset in eval mode and derive metrics at the threshold.
 
-    Model.scores works through the samples in chunks of SCORE_CHUNK (20)
-    with an LSTM loop that keeps no cache, so memory does not grow with the
-    number of recordings. Returns (MetricsReport, raw scores). Model.scores
-    raises ShapeError if the samples' length is not the model's seq_len.
+    Model.scores runs the forward over chunks of SCORE_CHUNK (20) samples,
+    so memory grows with the chunk, not with the number of recordings.
+    Returns (MetricsReport, raw scores). Model.scores raises ShapeError if
+    the samples' length is not the model's seq_len.
     """
     scores = model.scores(data.samples)
     return metrics.confusion_report(scores, data.labels(), threshold), scores

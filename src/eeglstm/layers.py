@@ -4,15 +4,12 @@ backward passes (backpropagation through time).
 LSTM gate weights are stored stacked: one matrix product per time step
 computes every gate pre-activation. Column blocks are ordered input, forget,
 cell candidate, output.
-
-An LSTM layer has two forward paths, one per purpose, with bitwise equal
-hidden states. Training runs lstm_forward, whose cache holds the layer's gate
-activations in one (batch, time, 4*hidden) array in the stored column order
-(the input projection for every step, overwritten step by step with that
-step's activations) plus the cell and hidden states: 6*hidden floats per
-sample-step, which lstm_backward reads. Scoring runs lstm_infer, which keeps
-no cache; Model.scores feeds it chunks of SCORE_CHUNK (20) sequences, so its
-memory does not grow with the number of sequences scored.
+The forward cache holds a layer's gate activations in one (batch, time,
+4*hidden) array in the same column order: the input projection for every
+step, overwritten step by step with that step's activations. With the cell
+and hidden states that is 6*hidden floats per sample-step. Model.scores runs
+the same forward over chunks of SCORE_CHUNK (20) sequences, so its peak
+memory grows with SCORE_CHUNK x time, not with the number of sequences.
 
 Shapes follow the batched convention (batch, time, features). A Model takes
 single-channel input, (batch, time), so its first layer sees one feature;
@@ -41,18 +38,10 @@ VARIANT_DEFAULTS = {1: ((64,), 0.0), 2: ((128, 64), 0.35)}
 SCORE_CHUNK = 20
 
 
-def sigmoid(x, out=None) -> np.ndarray:
-    """Logistic function 1/(1+e^-x), computed so large |x| never overflows.
-
-    out, if given, is a float64 array of x's shape that receives the result;
-    it may be x itself.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    positive = x >= 0  # read before out, which may be x, is written
-    e = np.abs(x, out=np.empty_like(x) if out is None else out)
-    np.exp(np.negative(e, out=e), out=e)
-    num = np.where(positive, 1.0, e)
-    return np.divide(num, np.add(e, 1.0, out=e), out=e)
+def sigmoid(x) -> np.ndarray:
+    """Logistic function 1/(1+e^-x), computed so large |x| never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _gate_slice(gate: str, hidden: int) -> slice:
@@ -136,45 +125,6 @@ def lstm_forward(x, params: LstmLayerParams) -> LstmLayerCache:
         h_prev, c_prev = ht, ct
 
     return LstmLayerCache(x, gates, cs, hs)
-
-
-def lstm_infer(x, params: LstmLayerParams) -> np.ndarray:
-    """Hidden sequence (batch, time, hidden) of one LSTM layer, keeping no cache.
-
-    x: (batch, time, input_dim) float64. The dynamics of lstm_forward, and h
-    bitwise equal to its h: the same products and sums in the same order. The
-    gate columns are taken locally as [i f o | g], so one sigmoid covers three
-    gates, and every step op writes into buffers allocated once per call.
-    """
-    batch, steps, d = x.shape
-    hdim = params.hidden_dim
-    order = np.r_[0 : 2 * hdim, 3 * hdim : 4 * hdim, 2 * hdim : 3 * hdim]
-    # C order, as the stored weights: BLAS rounds a transposed operand differently.
-    kernel, recurrent = (np.ascontiguousarray(w[:, order]) for w in (params.kernel, params.recurrent))
-    bias = params.bias[order]
-    # Batch-major rows, as in lstm_forward: a time-major product would round
-    # some samples' rows differently for d > 1.
-    proj = (x.reshape(batch * steps, d) @ kernel).reshape(batch, steps, 4 * hdim)
-    hs = np.empty((batch, steps, hdim))
-    z = np.empty((batch, 4 * hdim))
-    z_ifo, z_g = z[:, : 3 * hdim], z[:, 3 * hdim :]
-    # The activations go to contiguous buffers: the sigmoid's ops on a strided
-    # view of z would each run one inner loop per row.
-    ifo, g = np.empty((batch, 3 * hdim)), np.empty((batch, hdim))
-    i, f, o = (ifo[:, k * hdim : (k + 1) * hdim] for k in range(3))
-    h, c, ig = np.zeros((batch, hdim)), np.zeros((batch, hdim)), np.empty((batch, hdim))
-    for t in range(steps):
-        np.matmul(h, recurrent, out=z)
-        np.add(proj[:, t], z, out=z)
-        np.add(z, bias, out=z)
-        sigmoid(z_ifo, out=ifo)
-        np.tanh(z_g, out=g)
-        np.multiply(f, c, out=c)
-        np.multiply(i, g, out=ig)
-        np.add(c, ig, out=c)
-        np.multiply(o, np.tanh(c, out=h), out=h)
-        hs[:, t] = h
-    return hs
 
 
 def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
@@ -409,7 +359,8 @@ class Model:
             out, mask = dropout_forward(out, p, rng) if p > 0.0 else (out, None)
             cache.dropout_masks.append(mask)
             feed = out
-        probs = self._read_out(out)
+        z = out @ self.dense.weights + self.dense.bias
+        probs = sigmoid(z)
         cache.pre_dense = out
         cache.probs = probs
         return probs, cache
@@ -449,27 +400,20 @@ class Model:
                 g[f"lstm{idx + 1}.{part}"][...] = grad
         return list(g.values())
 
-    def _read_out(self, h_last, out=None) -> np.ndarray:
-        """Probabilities from the last layer's final hidden states (batch, hidden)."""
-        return sigmoid(h_last @ self.dense.weights + self.dense.bias, out=out)
-
     def scores(self, x) -> np.ndarray:
         """Eval-mode probabilities for a batch (dropout inactive).
 
-        Scores chunks of SCORE_CHUNK rows through lstm_infer, so memory does
-        not grow with the batch, and equals forward(x)[0] bitwise. A 1-row
-        tail joins the previous chunk: numpy multiplies a single row by
-        another path, which rounds differently.
+        Runs forward over chunks of SCORE_CHUNK rows, so only one chunk's
+        cache is alive at a time. Under OpenBLAS it equals forward(x)[0]
+        bitwise; a 1-row tail joins the previous chunk, since numpy multiplies
+        a single row by another path, which rounds differently.
         """
-        x = self._as_batch(x)
+        x = self._as_batch(x)[:, :, 0]
         n = len(x)
         starts = list(range(0, n, SCORE_CHUNK))
         if n > SCORE_CHUNK and n % SCORE_CHUNK == 1:
             starts.pop()
         probs = np.empty(n)
         for lo, hi in zip(starts, starts[1:] + [n]):
-            feed = x[lo:hi]
-            for layer in self.lstm_layers:
-                feed = lstm_infer(feed, layer)
-            self._read_out(feed[:, -1], out=probs[lo:hi])
+            probs[lo:hi] = self.forward(x[lo:hi], train=False)[0]
         return probs

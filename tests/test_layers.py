@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -17,7 +16,6 @@ from eeglstm.layers import (
     dropout_forward,
     init_params,
     lstm_forward,
-    lstm_infer,
     param_count,
     sigmoid,
 )
@@ -494,13 +492,23 @@ class TestModel:
         assert s1.tobytes() == s2.tobytes()
 
 
+# Bitwise equality of chunked and whole-batch products rests on how OpenBLAS
+# groups rows; another BLAS may round a chunk's rows differently within an ulp.
+try:
+    OPENBLAS = "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+except TypeError:  # numpy < 1.25 cannot report its BLAS as data
+    OPENBLAS = False
+openblas_only = pytest.mark.skipif(not OPENBLAS, reason="bitwise chunk parity is an OpenBLAS property")
+
+
 class TestScores:
-    """Model.scores runs lstm_infer over chunks of SCORE_CHUNK rows and must
-    give forward's eval probabilities bit for bit."""
+    """Model.scores runs forward over chunks of SCORE_CHUNK rows; under
+    OpenBLAS it gives forward's eval probabilities bit for bit."""
 
     def test_chunk_is_a_multiple_of_4(self):
         assert SCORE_CHUNK % 4 == 0
 
+    @openblas_only
     @pytest.mark.parametrize("variant", [1, 2])
     def test_equal_to_forward_bitwise(self, variant):
         model = init_params(ModelConfig(variant=variant, seq_len=64), 3)
@@ -509,6 +517,7 @@ class TestScores:
             x = rng.standard_normal((n, 64))
             assert model.scores(x).tobytes() == model.forward(x)[0].tobytes(), n
 
+    @openblas_only
     @pytest.mark.parametrize("variant,seed", [(1, 8), (2, 1), (2, 6)])
     def test_one_row_tail_joins_previous_chunk(self, variant, seed):
         # With these seeds the last of 41 rows, scored alone, rounds differently.
@@ -516,14 +525,11 @@ class TestScores:
         x = np.random.default_rng(seed).standard_normal((41, 64))
         assert model.scores(x).tobytes() == model.forward(x)[0].tobytes()
 
-    @pytest.mark.parametrize("d,hdim", itertools.product((1, 3), (1, 4, 6)))
-    def test_lstm_infer_equals_lstm_forward(self, d, hdim):
-        rng = np.random.default_rng(10 * d + hdim)
-        params = LstmLayerParams(
-            rng.uniform(-1, 1, (d, 4 * hdim)), rng.uniform(-1, 1, (hdim, 4 * hdim)), rng.uniform(-1, 1, 4 * hdim)
-        )
-        x = rng.standard_normal((5, 11, d))
-        assert lstm_infer(x, params).tobytes() == lstm_forward(x, params).h.tobytes()
+    @pytest.mark.parametrize("hidden", [(6,), (6, 4)])
+    def test_close_to_naive_reference_across_chunks(self, hidden):
+        model = init_params(ModelConfig(variant=len(hidden), seq_len=9, hidden_sizes=hidden), 7)
+        x = np.random.default_rng(8).standard_normal((45, 9))
+        np.testing.assert_allclose(model.scores(x), naive_scores(model, x), rtol=0, atol=1e-12)
 
     def test_checks_input_like_forward(self):
         model = small_model()
