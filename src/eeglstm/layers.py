@@ -3,7 +3,8 @@ backward passes (backpropagation through time).
 
 LSTM gate weights are stored stacked: one matrix product per time step
 computes every gate pre-activation. Column blocks are ordered input, forget,
-cell candidate, output.
+cell candidate, output. Each step takes one sigmoid over all four blocks and
+then tanh over the candidate block, overwriting it: two calls, not three.
 The forward cache holds a layer's gate activations in one (batch, time,
 4*hidden) array in the same column order: the input projection for every
 step, overwritten step by step with that step's activations. With the cell
@@ -28,8 +29,6 @@ import numpy as np
 from .data import BONN_SEQ_LEN
 from .errors import ShapeError
 
-GATE_NAMES = ("i", "f", "c", "o")
-
 # The paper's architectures: (hidden_sizes, dropout_prob) of each variant.
 VARIANT_DEFAULTS = {1: ((64,), 0.0), 2: ((128, 64), 0.35)}
 
@@ -42,11 +41,6 @@ def sigmoid(x) -> np.ndarray:
     """Logistic function 1/(1+e^-x), computed so large |x| never overflows."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def _gate_slice(gate: str, hidden: int) -> slice:
-    idx = GATE_NAMES.index(gate)
-    return slice(idx * hidden, (idx + 1) * hidden)
 
 
 @dataclass
@@ -103,8 +97,7 @@ def lstm_forward(x, params: LstmLayerParams) -> LstmLayerCache:
     if d != params.input_dim:
         raise ShapeError(f"input feature dim {d} != layer input dim {params.input_dim}")
     hdim = params.hidden_dim
-    sl_i, sl_f, sl_c, sl_o = (_gate_slice(g, hdim) for g in GATE_NAMES)
-    sl_if = slice(0, 2 * hdim)
+    sl_i, sl_f, sl_c, sl_o = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
 
     # Input contribution for every step in one product; the loop overwrites
     # each step's slice with that step's gate activations.
@@ -115,9 +108,9 @@ def lstm_forward(x, params: LstmLayerParams) -> LstmLayerCache:
     for t in range(steps):
         act = gates[:, t]
         z = act + h_prev @ params.recurrent + params.bias
-        act[:, sl_if] = sigmoid(z[:, sl_if])
+        # One sigmoid over all four blocks costs less than two calls around the candidate.
+        act[...] = sigmoid(z)
         act[:, sl_c] = np.tanh(z[:, sl_c])
-        act[:, sl_o] = sigmoid(z[:, sl_o])
         it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
         ct = ft * c_prev + it * gt
         ht = ot * np.tanh(ct)
@@ -139,7 +132,7 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     if dh_out.shape != cache.h.shape:
         raise ShapeError(f"upstream gradient {dh_out.shape} != cached outputs {cache.h.shape}")
     batch, steps, hdim = cache.h.shape
-    sl_i, sl_f, sl_c, sl_o = (_gate_slice(g, hdim) for g in GATE_NAMES)
+    sl_i, sl_f, sl_c, sl_o = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
 
     tanh_c = np.tanh(cache.c)
     zero = np.zeros((batch, hdim))
@@ -276,9 +269,9 @@ def init_params(config: ModelConfig, seed: int) -> "Model":
     for layer in model.lstm_layers:
         h = layer.hidden_dim
         layer.kernel[...] = _glorot_uniform(rng, layer.kernel.shape)
-        for gate in GATE_NAMES:
-            layer.recurrent[:, _gate_slice(gate, h)] = _orthogonal(rng, h)
-        layer.bias[_gate_slice("f", h)] = 1.0
+        for k in range(4):
+            layer.recurrent[:, k * h : (k + 1) * h] = _orthogonal(rng, h)
+        layer.bias[h : 2 * h] = 1.0
     model.dense.weights[...] = _glorot_uniform(rng, (model.dense.weights.size, 1))[:, 0]
     return model
 

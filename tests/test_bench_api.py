@@ -2,11 +2,13 @@
 corpus. The benchmark scripts are kept unchanged across refactors, so a change
 that breaks one of these calls fails here, not only in a benchmark run."""
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from eeglstm import checkpoint, data, harness
+from eeglstm import checkpoint, data, harness, layers
 from eeglstm.layers import ModelConfig, init_params
 from eeglstm.optim import TrainConfig
 
@@ -53,3 +55,39 @@ def test_benchmark_dataset_and_harness_calls(tmp_path, monkeypatch):
     result = harness.run_experiment(dataset, 1, 2, 7, TrainConfig(batch_size=4, epochs=1, seed=7))
     assert folds_trained == [0, 1]
     assert len(result.curves) == 2 and all(len(curves) == 1 for curves in result.curves)
+
+
+def test_traced_describers_read_the_call_signatures(tmp_path, monkeypatch):
+    """A `--trace 1` run describes six functions from their bound arguments and
+    results (bench/spans.py DESCRIBE); a renamed parameter or attribute would
+    fail only there, as a describe error."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    owners = {"layers": layers, "layers.Model": layers.Model, "data": data}
+    for name in spans.DESCRIBE:
+        owner, attr = name.rsplit(".", 1)
+        monkeypatch.setattr(owners[owner], attr, tracer.wrap(name, vars(owners[owner])[attr]))
+
+    synth = data.gen_synthetic(
+        data.ToneSpec(2.0, 40.0, 5.0), data.ToneSpec(10.0, 40.0, 5.0),
+        n_per_class=100, seq_len=6, sample_rate_hz=64.0, seed=0,
+    )
+    data.export_bonn_format(synth, tmp_path, set_names=("A", "E"))
+    x = data.load_bonn_set(tmp_path, "A", expected_len=6).sequences[:4]
+    model = init_params(ModelConfig(variant=2, seq_len=6, hidden_sizes=(3, 2)), 0)
+    probs, cache = model.forward(x, train=True, rng=np.random.default_rng(0))
+    model.backward(cache, np.ones_like(probs))
+    model.scores(x)
+    assert len(layers.dropout_forward(np.ones(3), 0.5, np.random.default_rng(0))) == 2
+
+    assert tracer.describe_errors == {}
+    described = {}
+    for name, *_, attrs in tracer.spans:
+        described.setdefault(name, attrs)
+    assert set(described) == set(spans.DESCRIBE)
+    assert described["layers.lstm_forward"]["h"] == 3 and described["layers.lstm_backward"]["d"] == 3
+    assert described["layers.Model.forward"] == {"train": True}
+    assert described["layers.Model.scores"] == {"n": 4}

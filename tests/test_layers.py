@@ -227,6 +227,33 @@ class TestNaiveReference:
         np.testing.assert_allclose(cache.h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(cache.c, c_ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 4, 20])
+    @pytest.mark.parametrize("hdim", [1, 3, 64])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_lstm_forward_equals_per_block_activations_bitwise(self, d, hdim, batch):
+        # lstm_forward takes one sigmoid over all four blocks; this is the same
+        # loop with sigmoid over i|f, tanh over c and sigmoid over o.
+        rng = np.random.default_rng(1000 * d + 10 * hdim + batch)
+        params = LstmLayerParams(
+            rng.uniform(-1, 1, (d, 4 * hdim)), rng.uniform(-1, 1, (hdim, 4 * hdim)), rng.uniform(-1, 1, 4 * hdim)
+        )
+        x = 3 * rng.standard_normal((batch, 6, d))
+        gates = (x.reshape(-1, d) @ params.kernel).reshape(batch, 6, 4 * hdim)
+        cs, hs = np.empty((batch, 6, hdim)), np.empty((batch, 6, hdim))
+        h_prev = c_prev = np.zeros((batch, hdim))
+        for t in range(6):
+            act = gates[:, t]
+            z = act + h_prev @ params.recurrent + params.bias
+            act[:, : 2 * hdim] = sigmoid(z[:, : 2 * hdim])
+            act[:, 2 * hdim : 3 * hdim] = np.tanh(z[:, 2 * hdim : 3 * hdim])
+            act[:, 3 * hdim :] = sigmoid(z[:, 3 * hdim :])
+            it, ft, gt, ot = (act[:, k * hdim : (k + 1) * hdim] for k in range(4))
+            c_prev = cs[:, t] = ft * c_prev + it * gt
+            h_prev = hs[:, t] = ot * np.tanh(c_prev)
+        cache = lstm_forward(x, params)
+        for got, want in ((cache.gates, gates), (cache.c, cs), (cache.h, hs)):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("hidden", [(6,), (6, 4)])
     def test_model_scores_match(self, hidden):
         model = init_params(ModelConfig(variant=len(hidden), seq_len=9, hidden_sizes=hidden), 7)

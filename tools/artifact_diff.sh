@@ -7,9 +7,10 @@
 # once per tree, with that tree's src on PYTHONPATH and PYTHONDONTWRITEBYTECODE=1,
 # in its own directory under one temporary directory. Every output path is
 # relative to that directory, so both trees' logs name the same paths. Then
-# `diff -r` compares the generated corpus, results.csv, curves.csv,
-# result.json, checkpoint.json, metrics.json and every log (stdout, stderr and
-# exit code of each command).
+# `diff -r` compares the generated corpora, results.csv, curves.csv,
+# result.json, checkpoint.json, metrics.json, reproduce's results.csv (with its
+# average row), curves_X_Y.csv and results.json, and every log (stdout, stderr
+# and exit code of each command).
 #
 # Exit status: 0 when everything is identical and every command succeeded;
 # 1 on any difference or failed command (the temporary directory is kept and
@@ -48,6 +49,12 @@ run_tree() {
             --epochs 2 --seed 7 --out train-m2
         step train-m2-jobs.log train --synthetic default --model 2 --seq-len 32 --folds 3 --epochs 2 \
             --seed 3 --jobs 2 --out train-m2-jobs
+        # five sets A-E for reproduce's six pairs; the third call rewrites D
+        step gen-synth-ae.log gen-synth --spec amp=300,noise=40 --seq-len 32 --seed 11 --sets A,E --out corpus5
+        step gen-synth-bd.log gen-synth --spec amp=300,noise=40 --seq-len 32 --seed 12 --sets B,D --out corpus5
+        step gen-synth-cd.log gen-synth --spec amp=300,noise=40 --seq-len 32 --seed 13 --sets C,D --out corpus5
+        step reproduce.log reproduce --data corpus5 --standardize --seq-len 32 --folds 2 --epochs 2 --seed 7 \
+            --out reproduce
     )
 }
 
@@ -65,7 +72,7 @@ if ! diff -r "$work/parent" "$work/change"; then
     status=1
 fi
 if [ "$status" -eq 0 ]; then
-    echo "identical: $(cd "$work/parent" && find . -type f ! -path './corpus/*' | sort | tr '\n' ' ')"
+    echo "identical: $(cd "$work/parent" && find . -type f ! -path './corpus/*' ! -path './corpus5/*' | sort | tr '\n' ' ')"
     rm -rf "$work"
 else
     echo "artifact_diff: differences or failures; outputs kept in $work" >&2
