@@ -77,8 +77,9 @@ class ExperimentResult:
 def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISION_THRESHOLD):
     """Score a dataset in eval mode and derive metrics at the threshold.
 
-    Model.scores runs the forward over chunks of SCORE_CHUNK (20) samples,
-    so memory grows with the chunk, not with the number of recordings.
+    Model.scores keeps no forward cache: it steps every layer through chunks
+    of SCORE_CHUNK samples, so memory grows with neither the sequence length
+    nor the number of recordings.
     Returns (MetricsReport, raw scores). Model.scores raises ShapeError if
     the samples' length is not the model's seq_len.
     """

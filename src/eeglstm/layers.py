@@ -3,14 +3,16 @@ backward passes (backpropagation through time).
 
 LSTM gate weights are stored stacked: one matrix product per time step
 computes every gate pre-activation. Column blocks are ordered input, forget,
-cell candidate, output. Each step takes one sigmoid over all four blocks and
-then tanh over the candidate block, overwriting it: two calls, not three.
-The forward cache holds a layer's gate activations in one (batch, time,
-4*hidden) array in the same column order: the input projection for every
-step, overwritten step by step with that step's activations. With the cell
-and hidden states that is 6*hidden floats per sample-step. Model.scores runs
-the same forward over chunks of SCORE_CHUNK (20) sequences, so its peak
-memory grows with SCORE_CHUNK x time, not with the number of sequences.
+cell candidate, output. One step, lstm_step, advances a layer in place on
+preallocated buffers: one sigmoid over all four blocks, then tanh over the
+candidate block, overwriting it. Both LSTM loops run it. lstm_forward, the
+training forward, keeps a cache: a layer's gate activations in one (batch,
+time, 4*hidden) array in the same column order (the input projection for
+every step, overwritten step by step with that step's activations) plus the
+cell and hidden states, 6*hidden floats per sample-step. Model.scores keeps
+none: it runs the step time-major through every layer over chunks of
+SCORE_CHUNK (40) sequences, so its memory is a few (chunk, 4*hidden) buffers
+per layer, whatever the length or number of the sequences.
 
 Shapes follow the batched convention (batch, time, features). A Model takes
 single-channel input, (batch, time), so its first layer sees one feature;
@@ -34,13 +36,22 @@ VARIANT_DEFAULTS = {1: ((64,), 0.0), 2: ((128, 64), 0.35)}
 
 # Rows per Model.scores chunk. A multiple of 4: OpenBLAS multiplies rows in
 # groups of 4, so only then does each row round as it would in one big batch.
-SCORE_CHUNK = 20
+# A step's numpy calls cost about the same at any row count: with 40 rows,
+# 200 recordings score about 1.2x faster than with 20 (2 vCPU Xeon, one BLAS
+# thread, models 1 and 2).
+SCORE_CHUNK = 40
 
 
-def sigmoid(x) -> np.ndarray:
-    """Logistic function 1/(1+e^-x), computed so large |x| never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def sigmoid(x, out=None) -> np.ndarray:
+    """Logistic function 1/(1+e^-x), computed so large |x| never overflows.
+
+    The numerator is 1 where x >= 0 and e^-|x| elsewhere: max(x >= 0, e^-|x|).
+    With out, the result is written there and e^-|x| is the one temporary.
+    """
+    e = np.exp(np.copysign(x, -1.0))  # copysign(x, -1) is -|x|, bit for bit
+    numerator = np.maximum(np.greater_equal(x, 0.0, out=out), e, out=out)
+    e += 1.0
+    return np.divide(numerator, e, out=out)
 
 
 @dataclass
@@ -81,6 +92,31 @@ class LstmLayerCache:
     h: np.ndarray
 
 
+def lstm_step(act, h, c, params: LstmLayerParams, z) -> None:
+    """Advance one LSTM layer by one time step, in place; allocates only
+    sigmoid's temporary.
+
+    act: (batch, 4*hidden), the step's input projection x_t @ kernel on entry
+    and its gate activations on return. h, c: (batch, hidden) contiguous
+    previous states, overwritten with the new ones. z: (batch, 4*hidden)
+    contiguous scratch for the pre-activation (proj + h @ recurrent) + bias.
+    One sigmoid covers all four blocks, then tanh overwrites the candidate.
+    """
+    hdim = h.shape[1]
+    i, f, g, o = act[:, :hdim], act[:, hdim : 2 * hdim], act[:, 2 * hdim : 3 * hdim], act[:, 3 * hdim :]
+    np.matmul(h, params.recurrent, out=z)
+    np.add(act, z, out=z)
+    np.add(z, params.bias, out=z)
+    sigmoid(z, out=act)
+    np.tanh(z[:, 2 * hdim : 3 * hdim], out=g)
+    ig = z[:, :hdim]  # the pre-activation is spent; reuse it for i*g
+    np.multiply(f, c, out=c)
+    np.multiply(i, g, out=ig)
+    np.add(c, ig, out=c)
+    np.tanh(c, out=h)
+    np.multiply(o, h, out=h)
+
+
 def lstm_forward(x, params: LstmLayerParams) -> LstmLayerCache:
     """Run one LSTM layer over a batch of sequences from a zero state.
 
@@ -97,25 +133,16 @@ def lstm_forward(x, params: LstmLayerParams) -> LstmLayerCache:
     if d != params.input_dim:
         raise ShapeError(f"input feature dim {d} != layer input dim {params.input_dim}")
     hdim = params.hidden_dim
-    sl_i, sl_f, sl_c, sl_o = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
 
     # Input contribution for every step in one product; the loop overwrites
     # each step's slice with that step's gate activations.
     gates = (x.reshape(batch * steps, d) @ params.kernel).reshape(batch, steps, 4 * hdim)
     cs = np.empty((batch, steps, hdim))
     hs = np.empty((batch, steps, hdim))
-    h_prev = c_prev = np.zeros((batch, hdim))
+    h, c, z = np.zeros((batch, hdim)), np.zeros((batch, hdim)), np.empty((batch, 4 * hdim))
     for t in range(steps):
-        act = gates[:, t]
-        z = act + h_prev @ params.recurrent + params.bias
-        # One sigmoid over all four blocks costs less than two calls around the candidate.
-        act[...] = sigmoid(z)
-        act[:, sl_c] = np.tanh(z[:, sl_c])
-        it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
-        ct = ft * c_prev + it * gt
-        ht = ot * np.tanh(ct)
-        cs[:, t], hs[:, t] = ct, ht
-        h_prev, c_prev = ht, ct
+        lstm_step(gates[:, t], h, c, params, z)
+        cs[:, t], hs[:, t] = c, h
 
     return LstmLayerCache(x, gates, cs, hs)
 
@@ -394,19 +421,40 @@ class Model:
         return list(g.values())
 
     def scores(self, x) -> np.ndarray:
-        """Eval-mode probabilities for a batch (dropout inactive).
+        """Eval-mode probabilities for a batch (dropout inactive), with no cache.
 
-        Runs forward over chunks of SCORE_CHUNK rows, so only one chunk's
-        cache is alive at a time. Under OpenBLAS it equals forward(x)[0]
-        bitwise; a 1-row tail joins the previous chunk, since numpy multiplies
-        a single row by another path, which rounds differently.
+        Runs lstm_step over chunks of SCORE_CHUNK rows, time step by time
+        step through every layer, so it keeps two (rows, 4*hidden) and two
+        (rows, hidden) buffers per layer and no (rows, time, .) array. Under
+        OpenBLAS it equals forward(x)[0] bitwise. numpy multiplies a single
+        row by its matrix-vector path, which rounds differently from
+        forward's whole-sequence product, so a 1-row input goes through
+        forward (its cache is 6*hidden floats per step and layer) and a
+        1-row tail joins the previous chunk.
         """
         x = self._as_batch(x)[:, :, 0]
         n = len(x)
+        if n == 1:
+            return self.forward(x)[0]
         starts = list(range(0, n, SCORE_CHUNK))
         if n > SCORE_CHUNK and n % SCORE_CHUNK == 1:
             starts.pop()
         probs = np.empty(n)
         for lo, hi in zip(starts, starts[1:] + [n]):
-            probs[lo:hi] = self.forward(x[lo:hi], train=False)[0]
+            # Per layer: the gate block, the hidden and cell states, the step's scratch.
+            rows = hi - lo
+            state = [
+                (layer, np.empty((rows, 4 * layer.hidden_dim)), np.zeros((rows, layer.hidden_dim)),
+                 np.zeros((rows, layer.hidden_dim)), np.empty((rows, 4 * layer.hidden_dim)))
+                for layer in self.lstm_layers
+            ]
+            for t in range(x.shape[1]):
+                feed = x[lo:hi, t : t + 1]
+                for layer, act, h, c, z in state:
+                    # With one input feature, x_t * kernel is the product's only term;
+                    # multiply forms it in about half matmul's time.
+                    (np.multiply if layer.input_dim == 1 else np.matmul)(feed, layer.kernel, out=act)
+                    lstm_step(act, h, c, layer, z)
+                    feed = h
+            probs[lo:hi] = sigmoid(feed @ self.dense.weights + self.dense.bias)
         return probs

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eeglstm import layers
 from eeglstm.errors import ShapeError
 from eeglstm.layers import (
     SCORE_CHUNK,
@@ -97,6 +98,21 @@ class TestActivations:
         out = sigmoid(np.array([-1e4, 1e4]))
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[1] == 1.0  # float64 saturation
+
+    def test_sigmoid_equals_the_where_form_bitwise(self):
+        # The form sigmoid replaced, kept here as the reference.
+        def where_sigmoid(x):
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+        tiny = np.finfo(np.float64).tiny
+        edges = np.array([0.0, 5e-324, tiny, 1e-300, 1.0, 36.0, 37.0, 709.0, 745.0, 746.0, 1e4, np.inf, np.nan])
+        random = np.random.default_rng(0).standard_normal(10**6) * 20.0
+        for x in (np.concatenate([edges, -edges]), random, random.reshape(1000, 1000)[:, ::3]):
+            want = where_sigmoid(x).tobytes()
+            assert sigmoid(x).tobytes() == want
+            out = np.empty(x.shape)
+            assert sigmoid(x, out=out) is out and out.tobytes() == want
 
     def test_tanh_values(self):
         assert float(np.tanh(0.0)) == 0.0
@@ -528,9 +544,19 @@ except TypeError:  # numpy < 1.25 cannot report its BLAS as data
 openblas_only = pytest.mark.skipif(not OPENBLAS, reason="bitwise chunk parity is an OpenBLAS property")
 
 
+def peak(fn, *args):
+    """tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestScores:
-    """Model.scores runs forward over chunks of SCORE_CHUNK rows; under
-    OpenBLAS it gives forward's eval probabilities bit for bit."""
+    """Model.scores runs lstm_step over chunks of SCORE_CHUNK rows with no
+    cache; under OpenBLAS it gives forward's eval probabilities bit for bit."""
 
     def test_chunk_is_a_multiple_of_4(self):
         assert SCORE_CHUNK % 4 == 0
@@ -570,15 +596,42 @@ class TestScores:
     def test_keeps_no_full_batch_cache(self):
         model = init_params(ModelConfig(variant=1, seq_len=256), 0)
         x = np.random.default_rng(0).standard_normal((200, 256))
-
-        def peak(fn, *args):
-            tracemalloc.start()
-            try:
-                fn(*args)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         scores_200 = peak(model.scores, x)
         assert scores_200 <= 1.5 * peak(model.scores, x[:40])
         assert scores_200 < peak(model.forward, x) / 4
+
+    @pytest.mark.parametrize("hidden", [(6,), (6, 4)])
+    def test_runs_without_the_training_forward(self, hidden, monkeypatch):
+        model = init_params(ModelConfig(variant=len(hidden), seq_len=9, hidden_sizes=hidden), 7)
+        x = np.random.default_rng(8).standard_normal((45, 9))
+        want = {n: model.scores(x[:n]) for n in (2, 45)}
+
+        def training_forward(*args):
+            raise AssertionError("Model.scores called lstm_forward")
+
+        monkeypatch.setattr(layers, "lstm_forward", training_forward)
+        for n in (2, 45):
+            assert model.scores(x[:n]).tobytes() == want[n].tobytes()
+
+    def test_shares_the_step_with_the_training_forward(self, monkeypatch):
+        model = init_params(ModelConfig(variant=2, seq_len=5, hidden_sizes=(6, 4)), 0)
+        x = np.random.default_rng(1).standard_normal((3, 5))
+        calls = []
+        real = layers.lstm_step
+
+        def counted(act, h, c, params, z):
+            calls.append(params.hidden_dim)
+            real(act, h, c, params, z)
+
+        monkeypatch.setattr(layers, "lstm_step", counted)
+        model.forward(x)
+        assert calls == [6] * 5 + [4] * 5
+        calls.clear()
+        model.scores(x)
+        assert calls == [6, 4] * 5
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_peak_is_a_small_share_of_the_forward_cache(self, variant):
+        model = init_params(ModelConfig(variant=variant, seq_len=1024), 0)
+        x = np.random.default_rng(0).standard_normal((8, 1024))
+        assert peak(model.scores, x) < peak(model.forward, x) / 20
