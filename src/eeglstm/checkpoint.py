@@ -81,10 +81,16 @@ def load_checkpoint(path, expect_variant: int | None = None):
     if type(input_dim) is not int or input_dim != 1:
         raise CheckpointError(f"invalid model field 'input_dim' in checkpoint: {input_dim!r}, expected 1")
     fields = {key: _require(info, key) for key in ("variant", "hidden_sizes", "dropout_prob", "seq_len")}
+    dropout = fields.pop("dropout_prob")
     try:
         config = ModelConfig(**fields)
     except ValueError as exc:
         raise CheckpointError(f"invalid model config in checkpoint: {exc}") from exc
+    # The rate is fixed by the variant; the field is kept so the format is unchanged.
+    if type(dropout) not in _NUMBER_TYPES or dropout != config.dropout_prob:
+        raise CheckpointError(
+            f"invalid model field 'dropout_prob' in checkpoint: {dropout!r}, expected {config.dropout_prob}"
+        )
     if expect_variant is not None and config.variant != expect_variant:
         raise CheckpointError(f"checkpoint holds model variant {config.variant}, requested variant {expect_variant}")
 

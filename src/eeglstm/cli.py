@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -23,8 +23,7 @@ from .layers import Model, ModelConfig
 from .metrics import DECISION_THRESHOLD
 from .optim import TrainConfig
 
-SYNTH_DEFAULTS = {"f0": 2.0, "f1": 10.0, "amp": 1.0, "noise": 0.1, "rate": 64.0, "n": datamod.BONN_SET_SIZE}
-SYNTH_KEYS = tuple(SYNTH_DEFAULTS)
+SYNTH_KEYS = tuple(f.name for f in fields(datamod.SynthSpec))
 
 
 def _parse_pair(text: str, parser):
@@ -34,11 +33,9 @@ def _parse_pair(text: str, parser):
     return parts[0], parts[1]
 
 
-def _parse_synth_spec(text: str, parser, flag: str = "--synthetic") -> dict:
-    spec = dict(SYNTH_DEFAULTS)
-    if text == "default":
-        return spec
-    for item in text.split(","):
+def _parse_synth_spec(text: str, parser, flag: str = "--synthetic") -> datamod.SynthSpec:
+    values = {}
+    for item in [] if text == "default" else text.split(","):
         if "=" not in item:
             parser.error(f"{flag} entries must be key=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -46,21 +43,13 @@ def _parse_synth_spec(text: str, parser, flag: str = "--synthetic") -> dict:
         if key not in SYNTH_KEYS:
             parser.error(f"{flag}: unknown synthetic key {key!r}, expected one of {', '.join(SYNTH_KEYS)}")
         try:
-            spec[key] = _synth_n(value) if key == "n" else float(value)
+            values[key] = _synth_n(value) if key == "n" else float(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"{flag}: bad value for synthetic key {key!r}: {exc}")
-    return spec
-
-
-def _build_synthetic(spec: dict, seq_len: int, seed: int) -> datamod.PairDataset:
-    return datamod.gen_synthetic(
-        datamod.ToneSpec(spec["f0"], spec["amp"], spec["noise"]),
-        datamod.ToneSpec(spec["f1"], spec["amp"], spec["noise"]),
-        n_per_class=spec["n"],
-        seq_len=seq_len,
-        sample_rate_hz=spec["rate"],
-        seed=seed,
-    )
+    try:
+        return datamod.SynthSpec(**values)
+    except ValueError as exc:
+        parser.error(f"{flag}: {exc}")
 
 
 def _print_config(title: str, items: dict) -> None:
@@ -97,7 +86,7 @@ def _resolve_dataset(args, parser, seq_len):
         spec = _parse_synth_spec(args.synthetic, parser)
         seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if seq_len is None else seq_len
         try:
-            dataset = _build_synthetic(spec, seq_len, args.seed)
+            dataset = datamod.gen_synthetic(spec, seq_len, args.seed)
         except ValueError as exc:
             parser.error(f"--synthetic: {exc}")
         source = f"synthetic:{args.synthetic}"
@@ -211,7 +200,6 @@ def cmd_reproduce(args, parser) -> int:
         seq_len=seq_len,
         standardize=args.standardize,
         jobs=args.jobs,
-        progress=print,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -229,17 +217,17 @@ def cmd_reproduce(args, parser) -> int:
 
 def cmd_gen_synth(args, parser) -> int:
     spec = _parse_synth_spec(args.spec, parser, flag="--spec")
-    if spec["n"] != datamod.BONN_SET_SIZE:
+    if spec.n != datamod.BONN_SET_SIZE:
         # --data loads exactly BONN_SET_SIZE files per set, so any other n is unloadable.
-        parser.error(f"--spec: n must be {datamod.BONN_SET_SIZE} (files per on-disk set), got {spec['n']}")
+        parser.error(f"--spec: n must be {datamod.BONN_SET_SIZE} (files per on-disk set), got {spec.n}")
     seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if args.seq_len is None else args.seq_len
     set_names = _parse_pair(args.sets, parser)
     _print_config(
         "gen-synth",
-        {"spec": spec, "seq_len": seq_len, "seed": args.seed, "sets": "/".join(set_names), "out": args.out},
+        {"spec": asdict(spec), "seq_len": seq_len, "seed": args.seed, "sets": "/".join(set_names), "out": args.out},
     )
     try:
-        dataset = _build_synthetic(spec, seq_len, args.seed)
+        dataset = datamod.gen_synthetic(spec, seq_len, args.seed)
     except ValueError as exc:
         parser.error(f"--spec: {exc}")
     dirs = datamod.export_bonn_format(dataset, args.out, set_names=set_names)

@@ -5,7 +5,8 @@ The on-disk format is one directory per recording set holding exactly 100
 plain-text files (.txt/.TXT), each with one ASCII integer per line. Loading
 applies no scaling, filtering or resampling: loaded values equal file values
 exactly. Optional per-sequence standardization is a separate, explicitly
-flagged step.
+flagged step. A SynthSpec is the one recipe, defaults and checks of a
+synthetic pair.
 
 A PairDataset holds its recordings as one (2n, T) float64 array: rows 0..n-1
 are the first set, rows n..2n-1 the second. Labels are given by position
@@ -14,6 +15,7 @@ are the first set, rows n..2n-1 the second. Labels are given by position
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,59 +194,59 @@ def kfold_split(n_per_class: int, k: int, seed: int):
 
 
 @dataclass(frozen=True)
-class ToneSpec:
-    """Sinusoid-plus-noise recipe for one synthetic class."""
+class SynthSpec:
+    """A synthetic pair: n recordings per class of amp*sin(2 pi fk t) plus
+    Gaussian noise of sd `noise`, sampled at `rate` Hz (k = 0, 1). A
+    ValueError names a bad key; the defaults are the desk-scale pair."""
 
-    freq_hz: float
-    amplitude: float
-    noise_sd: float
+    f0: float = 2.0
+    f1: float = 10.0
+    amp: float = 1.0
+    noise: float = 0.1
+    rate: float = 64.0
+    n: int = BONN_SET_SIZE
 
     def __post_init__(self):
-        if not np.isfinite([self.freq_hz, self.amplitude, self.noise_sd]).all():
-            raise ValueError(f"spec values must be finite: {self}")
-        if self.freq_hz < 0 or self.noise_sd < 0:
-            raise ValueError(f"frequency and noise_sd must be non-negative: {self}")
+        for key, value in vars(self).items():
+            if key == "n":
+                ok, need = value >= 1, ">= 1"
+            elif key == "amp":
+                ok, need = math.isfinite(value), "finite"
+            elif key == "rate":
+                ok, need = 0 < value < math.inf, "positive and finite"
+            else:
+                ok, need = 0 <= value < math.inf, "non-negative and finite"
+            if not ok:
+                raise ValueError(f"{key} must be {need}, got {value}")
 
 
-# Desk-scale default length: two seconds at the CLI's default 64 Hz rate.
+# Desk-scale default length: two seconds at the default 64 Hz rate.
 DEFAULT_SYNTH_SEQ_LEN = 128
 
 
-def gen_synthetic(
-    class0: ToneSpec,
-    class1: ToneSpec,
-    n_per_class: int,
-    seq_len: int,
-    sample_rate_hz: float,
-    seed: int,
-) -> PairDataset:
-    """Deterministic surrogate corpus: amplitude*sin(2 pi f t) + Gaussian noise.
-
-    The two sets are named syn0 (class 0) and syn1 (class 1).
+def gen_synthetic(spec: SynthSpec, seq_len: int, seed: int) -> PairDataset:
+    """Deterministic surrogate corpus from `spec`: sets syn0 (tone f0, class 0)
+    and syn1 (tone f1, class 1), noise drawn from one generator seeded by `seed`.
 
     Raises ValueError if a generated value is not finite (float64 overflow),
     and MemoryError if no array of seq_len values can be allocated.
     """
     if seq_len < 2:
         raise ValueError(f"seq_len must be >= 2, got {seq_len}")
-    if not 0 < sample_rate_hz < np.inf:
-        raise ValueError(f"sample_rate_hz must be positive and finite, got {sample_rate_hz}")
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     try:
-        t = np.arange(seq_len, dtype=np.float64) / float(sample_rate_hz)
+        t = np.arange(seq_len, dtype=np.float64) / float(spec.rate)
     except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
         raise MemoryError(f"seq_len {seq_len}: {exc}") from None
     rng = np.random.default_rng(int(seed))
     pair = ("syn0", "syn1")
     rows = []
-    for spec, name in zip((class0, class1), pair):
-        base = spec.amplitude * np.sin(2.0 * np.pi * spec.freq_hz * t)
-        for i in range(n_per_class):
+    for freq, name in zip((spec.f0, spec.f1), pair):
+        base = spec.amp * np.sin(2.0 * np.pi * freq * t)
+        for i in range(spec.n):
             with np.errstate(over="ignore"):
-                values = base + rng.standard_normal(seq_len) * spec.noise_sd
+                values = base + rng.standard_normal(seq_len) * spec.noise
             if not np.isfinite(values).all():
                 raise ValueError(f"{name}-{i:03d}: generated values are not finite for {spec}")
             rows.append(values)

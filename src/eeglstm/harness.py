@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -218,8 +219,13 @@ def run_experiment(
     )
     workers = min(jobs, k)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            folds = list(pool.map(train_model, *args))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                folds = list(pool.map(train_model, *args))
+        except BrokenProcessPool:
+            raise EegLstmError(
+                f"pair {'/'.join(data.pair)}: a fold worker died (an out-of-memory kill is the usual cause)"
+            ) from None
     else:
         folds = list(map(train_model, *args))
     return ExperimentResult(
@@ -243,9 +249,9 @@ def run_reproduction(
     seq_len: int = BONN_SEQ_LEN,
     standardize: bool = False,
     jobs: int = 1,
-    progress=None,
 ):
-    """Run the full six-pair grid against an on-disk corpus."""
+    """Run the full six-pair grid against an on-disk corpus, printing a line
+    as each pair starts and ends."""
     loaded = {}
     results = []
     for first, second, variant in TABLE_PAIRS:
@@ -255,15 +261,10 @@ def run_reproduction(
         dataset = make_pair_dataset(loaded[first], loaded[second])
         if standardize:
             dataset = standardize_dataset(dataset)
-        if progress:
-            progress(f"pair {first}/{second} (model {variant}) ...")
+        print(f"pair {first}/{second} (model {variant}) ...")
         results.append(run_experiment(dataset, variant, k, seed, tcfg, jobs=jobs))
-        if progress:
-            agg = results[-1].aggregate
-            progress(
-                f"pair {first}/{second}: val_acc={_fmt_pct(agg['val_accuracy'])} "
-                f"auc={_fmt_auc(agg['auc'])}"
-            )
+        agg = results[-1].aggregate
+        print(f"pair {first}/{second}: val_acc={_fmt_pct(agg['val_accuracy'])} auc={_fmt_auc(agg['auc'])}")
     return results
 
 

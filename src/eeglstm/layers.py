@@ -214,22 +214,23 @@ class ModelConfig:
 
     variant 1 is the single-layer classifier (one LSTM, hidden 64, no
     dropout); variant 2 stacks two LSTM layers (128 then 64) with dropout
-    0.35 after each. hidden_sizes/dropout_prob may be overridden for
-    reduced-size runs; None means the variant's default.
+    0.35 after each. hidden_sizes may be overridden for reduced-size runs;
+    None means the variant's default. dropout_prob is not an argument: it
+    is always the variant's rate.
 
     Types are checked exactly, so a bool or a float never passes as an int:
     variant is 1 or 2; hidden_sizes is a list or tuple of `variant` positive
-    ints, stored as a tuple; dropout_prob is an int or float in [0, 1);
-    seq_len is a positive int. A ValueError names the bad field.
+    ints, stored as a tuple; seq_len is a positive int. A ValueError names
+    the bad field.
     """
 
     variant: int
     seq_len: int = BONN_SEQ_LEN
     hidden_sizes: tuple | None = None
-    dropout_prob: float | None = None
+    dropout_prob: float = field(init=False)
 
     def __post_init__(self):
-        variant, hidden, dropout = self.variant, self.hidden_sizes, self.dropout_prob
+        variant, hidden = self.variant, self.hidden_sizes
         if type(variant) is not int or variant not in VARIANT_DEFAULTS:
             raise ValueError(f"variant must be 1 or 2, got {variant!r}")
         if hidden is None:
@@ -238,14 +239,10 @@ class ModelConfig:
             raise ValueError(f"hidden_sizes must be a list of positive integers, got {hidden!r}")
         elif len(hidden) != variant:
             raise ValueError(f"variant {variant} needs {variant} LSTM layer(s), got hidden_sizes {hidden!r}")
-        if dropout is None:
-            dropout = VARIANT_DEFAULTS[variant][1]
-        elif type(dropout) not in (int, float) or not 0.0 <= dropout < 1.0:
-            raise ValueError(f"dropout_prob must be a number in [0, 1), got {dropout!r}")
         if type(self.seq_len) is not int or self.seq_len < 1:
             raise ValueError(f"seq_len must be a positive integer, got {self.seq_len!r}")
         object.__setattr__(self, "hidden_sizes", tuple(hidden))
-        object.__setattr__(self, "dropout_prob", dropout)
+        object.__setattr__(self, "dropout_prob", VARIANT_DEFAULTS[variant][1])
 
 
 def layout(config: ModelConfig):

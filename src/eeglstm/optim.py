@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,12 +16,14 @@ PROB_CLIP = 1e-7
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters of one training run."""
+    """Hyper-parameters of one training run. Adam's decay rates and epsilon
+    are fixed at the defaults of Kingma & Ba (2015, arXiv:1412.6980); they
+    stay fields so that every config echo records them."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    beta1: float = field(default=0.9, init=False)
+    beta2: float = field(default=0.999, init=False)
+    epsilon: float = field(default=1e-8, init=False)
     batch_size: int = 4
     epochs: int = 20
     seed: int = 0
@@ -29,10 +31,6 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError(f"decay rates must lie in [0, 1), got {self.beta1}, {self.beta2}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

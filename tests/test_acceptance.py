@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eeglstm.cli import main as cli_main
-from eeglstm.data import ToneSpec, gen_synthetic, kfold_split
+from eeglstm.data import SynthSpec, gen_synthetic, kfold_split
 from eeglstm.gradcheck import REL_TOL, run_gradcheck
 from eeglstm.harness import run_experiment, run_reproduction
 from eeglstm.layers import ModelConfig, param_count
@@ -100,11 +100,8 @@ def test_split_protocol():
 
 def test_desk_scale_learning():
     data = gen_synthetic(
-        ToneSpec(freq_hz=2.0, amplitude=1.0, noise_sd=0.1),
-        ToneSpec(freq_hz=10.0, amplitude=1.0, noise_sd=0.1),
-        n_per_class=100,
+        SynthSpec(f0=2.0, f1=10.0, amp=1.0, noise=0.1, rate=64.0, n=100),
         seq_len=128,
-        sample_rate_hz=64.0,
         seed=11,
     )
     result = run_experiment(

@@ -14,10 +14,7 @@ from eeglstm.optim import TrainConfig
 
 
 def test_benchmark_dataset_and_harness_calls(tmp_path, monkeypatch):
-    synth = data.gen_synthetic(
-        data.ToneSpec(2.0, 40.0, 5.0), data.ToneSpec(10.0, 40.0, 5.0),
-        n_per_class=100, seq_len=16, sample_rate_hz=64.0, seed=0,
-    )
+    synth = data.gen_synthetic(data.SynthSpec(2.0, 10.0, 40.0, 5.0, 64.0, 100), seq_len=16, seed=0)
     data.export_bonn_format(synth, tmp_path, set_names=("A", "E"))
     first, second = (data.load_bonn_set(tmp_path, s, expected_len=16) for s in ("A", "E"))
     first, second = (replace(rs, sequences=rs.sequences[:20]) for rs in (first, second))
@@ -71,10 +68,7 @@ def test_traced_describers_read_the_call_signatures(tmp_path, monkeypatch):
         owner, attr = name.rsplit(".", 1)
         monkeypatch.setattr(owners[owner], attr, tracer.wrap(name, vars(owners[owner])[attr]))
 
-    synth = data.gen_synthetic(
-        data.ToneSpec(2.0, 40.0, 5.0), data.ToneSpec(10.0, 40.0, 5.0),
-        n_per_class=100, seq_len=6, sample_rate_hz=64.0, seed=0,
-    )
+    synth = data.gen_synthetic(data.SynthSpec(2.0, 10.0, 40.0, 5.0, 64.0, 100), seq_len=6, seed=0)
     data.export_bonn_format(synth, tmp_path, set_names=("A", "E"))
     x = data.load_bonn_set(tmp_path, "A", expected_len=6).sequences[:4]
     model = init_params(ModelConfig(variant=2, seq_len=6, hidden_sizes=(3, 2)), 0)

@@ -143,6 +143,10 @@ def test_missing_provenance(model, tmp_path):
         ("model", "hidden_sizes", [10**7, 4], "lstm1.kernel"),
         # save_checkpoint writes every block's data as a list, one value included
         ("params", "dense.bias", {"shape": [], "data": 0.5}, "dense.bias"),
+        # dropout_prob must be the variant's rate: 0.35 for variant 2, 0.0 for variant 1
+        ("model", "dropout_prob", 0.2, "dropout_prob"),
+        (None, "model", {"variant": 1, "hidden_sizes": [6], "dropout_prob": 0.35, "input_dim": 1, "seq_len": 16},
+         "dropout_prob"),
     ],
 )
 def test_malformed_field_is_checkpoint_error(model, tmp_path, section, key, value, match):

@@ -1,13 +1,25 @@
 import json
+import os
+import signal
 
 import pytest
 
+from eeglstm import harness
 from eeglstm.cli import main
-from eeglstm.data import ToneSpec, gen_synthetic, export_bonn_format
+from eeglstm.data import SynthSpec, gen_synthetic, export_bonn_format
 
 
 def run(argv):
     return main(argv)
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _kill_own_process(*args):
+    """A fold worker that dies as an out-of-memory kill would end it."""
+    assert os.getpid() != _TEST_PROCESS, "train_model ran in the test process, not in a worker"
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 SMALL_TRAIN = [
@@ -125,6 +137,17 @@ class TestAllocationErrors:
         assert "--synthetic" not in err
 
 
+class TestDeadWorker:
+    def test_dead_fold_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(harness, "train_model", _kill_own_process)
+        argv = ["train", "--synthetic", "default", "--seq-len", "16", "--folds", "2", "--jobs", "2"]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pair syn0/syn1: a fold worker died") and err.count("\n") == 1
+        assert "out-of-memory" in err and "Traceback" not in err
+
+
 class TestTrain:
     def test_synthetic_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -159,7 +182,7 @@ class TestTrain:
 
     def test_train_on_exported_corpus(self, tmp_path):
         # the loader expects exactly 100 files per set
-        ds = gen_synthetic(ToneSpec(2, 500, 20), ToneSpec(10, 500, 20), 100, 24, 64.0, seed=1)
+        ds = gen_synthetic(SynthSpec(2, 10, 500, 20, 64.0, 100), 24, seed=1)
         export_bonn_format(ds, tmp_path / "corpus", set_names=("A", "E"))
         out = tmp_path / "run"
         code = run([
@@ -217,9 +240,7 @@ class TestReproduce:
         # five sets named A-E (100 files each) so every pair in the grid resolves
         amps = {"A": 200, "B": 220, "C": 240, "D": 800, "E": 1200}
         for name, amp in amps.items():
-            ds = gen_synthetic(
-                ToneSpec(2, amp, 10), ToneSpec(9, amp, 10), 100, 16, 64.0, seed=ord(name)
-            )
+            ds = gen_synthetic(SynthSpec(2, 9, amp, 10, 64.0, 100), 16, seed=ord(name))
             export_bonn_format(ds, tmp_path / "corpus", set_names=(name, name + "_unused"))
         out = tmp_path / "rep"
         code = run([

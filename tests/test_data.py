@@ -7,7 +7,7 @@ from eeglstm.data import (
     BONN_CODES,
     PairDataset,
     RecordingSet,
-    ToneSpec,
+    SynthSpec,
     export_bonn_format,
     gen_synthetic,
     kfold_split,
@@ -229,8 +229,8 @@ class TestKfoldSplit:
 
 class TestSynthetic:
     def test_noiseless_exact_sinusoid(self):
-        spec = ToneSpec(freq_hz=2.0, amplitude=3.0, noise_sd=0.0)
-        ds = gen_synthetic(spec, spec, n_per_class=2, seq_len=64, sample_rate_hz=64.0, seed=0)
+        spec = SynthSpec(f0=2.0, f1=2.0, amp=3.0, noise=0.0, rate=64.0, n=2)
+        ds = gen_synthetic(spec, seq_len=64, seed=0)
         t = np.arange(64) / 64.0
         expected = 3.0 * np.sin(2 * np.pi * 2.0 * t)
         assert ds.samples.shape == (4, 64)
@@ -241,35 +241,41 @@ class TestSynthetic:
         assert np.array_equal(ds.samples[0], ds.samples[2])
 
     def test_deterministic_given_seed(self):
-        spec0 = ToneSpec(2.0, 1.0, 0.1)
-        spec1 = ToneSpec(10.0, 1.0, 0.1)
-        a = gen_synthetic(spec0, spec1, 5, 32, 64.0, seed=9)
-        b = gen_synthetic(spec0, spec1, 5, 32, 64.0, seed=9)
+        spec = SynthSpec(2.0, 10.0, 1.0, 0.1, 64.0, 5)
+        a = gen_synthetic(spec, 32, seed=9)
+        b = gen_synthetic(spec, 32, seed=9)
         assert a.samples.tobytes() == b.samples.tobytes()
 
     def test_labels_and_counts(self):
-        ds = gen_synthetic(ToneSpec(2, 1, 0.1), ToneSpec(10, 1, 0.1), 7, 32, 64.0, seed=0)
+        ds = gen_synthetic(SynthSpec(2, 10, 1, 0.1, 64.0, 7), 32, seed=0)
         labels = ds.labels()
         assert labels.sum() == 7 and len(labels) == 14 == len(ds.samples)
         assert labels[:7].sum() == 0
 
     def test_invalid_specs_rejected(self):
-        good = ToneSpec(2, 1, 0.1)
+        good = SynthSpec(2, 2, 1, 0.1, 64.0, 5)
         with pytest.raises(ValueError):
-            gen_synthetic(good, good, 5, 1, 64.0, seed=0)  # seq_len < 2
+            gen_synthetic(good, 1, seed=0)  # seq_len < 2
         with pytest.raises(ValueError):
-            gen_synthetic(good, good, 5, 32, 0.0, seed=0)  # rate
+            SynthSpec(2, 2, 1, 0.1, 0.0, 5)  # rate
         with pytest.raises(ValueError):
-            ToneSpec(-1.0, 1.0, 0.1)
+            SynthSpec(f0=-1.0, amp=1.0, noise=0.1)
         with pytest.raises(ValueError):
-            ToneSpec(1.0, 1.0, -0.1)
+            SynthSpec(f0=1.0, amp=1.0, noise=-0.1)
         with pytest.raises(ValueError, match="not finite"):
-            gen_synthetic(ToneSpec(2, 1e308, 1e308), good, 5, 32, 64.0, seed=0)  # overflows float64
+            gen_synthetic(SynthSpec(2, 2, 1e308, 1e308, 64.0, 5), 32, seed=0)  # overflows float64
+
+    @pytest.mark.parametrize(
+        "key,value", [("f0", -1.0), ("f1", np.nan), ("amp", np.inf), ("noise", -0.1), ("rate", 0.0), ("n", 0)]
+    )
+    def test_bad_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            SynthSpec(**{key: value})
 
 
 class TestStandardize:
     def test_zero_mean_unit_std_per_sequence(self):
-        ds = gen_synthetic(ToneSpec(2, 5, 0.5), ToneSpec(10, 5, 0.5), 3, 64, 64.0, seed=2)
+        ds = gen_synthetic(SynthSpec(2, 10, 5, 0.5, 64.0, 3), 64, seed=2)
         out = standardize_dataset(ds)
         assert out.standardized
         for row in out.samples:
@@ -279,7 +285,7 @@ class TestStandardize:
     def test_rowwise_equals_per_sequence_bitwise(self):
         # the one-expression form must round exactly as a per-row loop does
         for seq_len in (7, 64, 1000, 4097):
-            ds = gen_synthetic(ToneSpec(2, 300, 40), ToneSpec(10, 300, 40), 3, seq_len, 173.61, seed=5)
+            ds = gen_synthetic(SynthSpec(2, 10, 300, 40, 173.61, 3), seq_len, seed=5)
             per_row = [(row - row.mean()) / max(float(row.std()), 1e-12) for row in ds.samples]
             assert standardize_dataset(ds).samples.tobytes() == np.stack(per_row).tobytes(), seq_len
 
@@ -292,7 +298,7 @@ class TestStandardize:
 class TestExportRoundTrip:
     def test_loader_round_trip_is_exact(self, tmp_path):
         # integral amplitudes -> rounding on export is lossless
-        ds = gen_synthetic(ToneSpec(2, 1000, 0), ToneSpec(10, 1000, 0), 100, 12, 64.0, seed=0)
+        ds = gen_synthetic(SynthSpec(2, 10, 1000, 0, 64.0, 100), 12, seed=0)
         rounded = np.array([[round(float(v)) for v in row] for row in ds.samples])
         export_bonn_format(ds, tmp_path, set_names=("A", "E"))
         a = load_bonn_set(tmp_path, "A", expected_len=12)

@@ -7,7 +7,7 @@ it must stay within GOLDEN_REL of every pinned value.
 
 import pytest
 
-from eeglstm.data import ToneSpec, gen_synthetic, kfold_split
+from eeglstm.data import SynthSpec, gen_synthetic, kfold_split
 from eeglstm.harness import train_model
 from eeglstm.layers import Model, ModelConfig
 from eeglstm.optim import TrainConfig
@@ -60,12 +60,10 @@ def close(actual, expected):
 @pytest.mark.parametrize("hidden,dropout", list(GOLDEN), ids=["model1", "model2"])
 def test_golden_trajectory(hidden, dropout):
     golden = GOLDEN[(hidden, dropout)]
-    data = gen_synthetic(
-        ToneSpec(2.0, 1.0, 0.5), ToneSpec(4.0, 1.0, 0.5),
-        n_per_class=10, seq_len=32, sample_rate_hz=64.0, seed=4,
-    )
+    data = gen_synthetic(SynthSpec(2.0, 4.0, 1.0, 0.5, 64.0, 10), seq_len=32, seed=4)
     split = kfold_split(10, 1, seed=0)[0]
-    config = ModelConfig(variant=len(hidden), seq_len=32, hidden_sizes=hidden, dropout_prob=dropout)
+    config = ModelConfig(variant=len(hidden), seq_len=32, hidden_sizes=hidden)
+    assert config.dropout_prob == dropout
     outcome = train_model(config, TrainConfig(learning_rate=1e-2, epochs=3, seed=2), split, data)
 
     got = [(r.train_loss, r.val_loss, r.val_accuracy) for r in outcome.curves]

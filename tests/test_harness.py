@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eeglstm import harness
-from eeglstm.data import FoldSplit, ToneSpec, gen_synthetic, kfold_split
+from eeglstm.data import FoldSplit, SynthSpec, gen_synthetic, kfold_split
 from eeglstm.errors import EegLstmError, ShapeError
 from eeglstm.harness import (
     CURVES_HEADER,
@@ -29,10 +29,7 @@ from eeglstm.optim import TrainConfig
 
 
 def tiny_dataset(n_per_class=10, seq_len=32, seed=4):
-    return gen_synthetic(
-        ToneSpec(2.0, 1.0, 0.1), ToneSpec(10.0, 1.0, 0.1),
-        n_per_class=n_per_class, seq_len=seq_len, sample_rate_hz=64.0, seed=seed,
-    )
+    return gen_synthetic(SynthSpec(2.0, 10.0, 1.0, 0.1, 64.0, n_per_class), seq_len=seq_len, seed=seed)
 
 
 def tiny_config(seq_len=32, hidden=8):
@@ -98,10 +95,7 @@ class TestTrainModel:
     def test_training_loss_decreases_on_separable_pair(self):
         # epoch-mean train loss strictly decreases over the first five epochs
         # for at least nine of ten seeds (slowish: ten real training runs)
-        data = gen_synthetic(
-            ToneSpec(2.0, 1.0, 0.1), ToneSpec(10.0, 1.0, 0.1),
-            n_per_class=100, seq_len=128, sample_rate_hz=64.0, seed=0,
-        )
+        data = gen_synthetic(SynthSpec(2.0, 10.0, 1.0, 0.1, 64.0, 100), seq_len=128, seed=0)
         split = kfold_split(100, 1, seed=0)[0]
         wins = 0
         for seed in range(10):

@@ -142,21 +142,19 @@ class TestTrainConfig:
         assert cfg.batch_size == 4 and cfg.epochs == 20
         assert cfg.epsilon == 1e-8
 
+    # Ids are the positions the cases held when the list also checked Adam's
+    # decay rates and epsilon, which are no longer settable.
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"learning_rate": 0.0},
-            {"beta1": 1.0},
-            {"beta2": -0.1},
             {"batch_size": 0},
             {"epochs": -1},
             {"seed": -3},
             {"learning_rate": math.nan},
             {"learning_rate": math.inf},
-            {"epsilon": math.nan},
-            {"epsilon": math.inf},
-            {"epsilon": -1e-8},
         ],
+        ids=[f"kwargs{i}" for i in (0, 3, 4, 5, 6, 7)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -47,6 +47,9 @@ run_tree() {
         step train-m1.log train --synthetic default --folds 2 --epochs 2 --seed 7 --out train-m1
         step train-m2.log train --synthetic default --model 2 --standardize --seq-len 64 --folds 2 \
             --epochs 2 --seed 7 --out train-m2
+        # every synthetic key away from its default
+        step train-synth-keys.log train --synthetic f0=3,f1=7,amp=2,noise=0.5,rate=50,n=20 --seq-len 48 --folds 2 \
+            --epochs 1 --seed 5 --out train-synth-keys
         step train-m2-jobs.log train --synthetic default --model 2 --seq-len 32 --folds 3 --epochs 2 \
             --seed 3 --jobs 2 --out train-m2-jobs
         # five sets A-E for reproduce's six pairs; the third call rewrites D
