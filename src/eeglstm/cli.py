@@ -42,6 +42,8 @@ def _parse_synth_spec(text: str, parser, flag: str = "--synthetic") -> datamod.S
         key = key.strip()
         if key not in SYNTH_KEYS:
             parser.error(f"{flag}: unknown synthetic key {key!r}, expected one of {', '.join(SYNTH_KEYS)}")
+        if key in values:
+            parser.error(f"{flag}: synthetic key {key!r} given more than once")
         try:
             values[key] = _synth_n(value) if key == "n" else float(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:

@@ -100,7 +100,8 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     validation accuracy is retained (ties keep the earliest epoch), and that
     epoch's report is the val report; with no epochs the initialization is
     scored. A non-finite batch or validation loss stops training with an
-    EegLstmError.
+    EegLstmError. Each batch's forward cache is dropped once its backward has
+    run, so a step holds one batch's BPTT memory, never two.
     """
     x_all, y_all = data.samples, data.labels()
     for name, idx in (("train", split.train), ("val", split.val)):
@@ -136,6 +137,7 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
                     f"fold {split.fold_index}: non-finite training loss at epoch {epoch}, batch {n}"
                 )
             model.backward(cache, dloss / batch.size)
+            del probs, cache  # the next forward must not run beside this cache
             step += 1
             adam_step(model.params, model.grad, m, v, step, tcfg)
             loss_sum += batch_loss

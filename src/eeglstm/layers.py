@@ -151,7 +151,10 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     """Backpropagate through time for one LSTM layer.
 
     dh_out: (batch, time, hidden) upstream gradient on every timestep's
-    hidden output (zeros where the output is unused).
+    hidden output (zeros where the output is unused). tanh(c) is taken one
+    step at a time, so beside the cache and dh_out the backward holds dz
+    (4*hidden floats per sample-step), then the shifted hidden states and dx:
+    about 5*hidden + input_dim floats per sample-step at its peak.
 
     Returns (dx, (dkernel, drecurrent, dbias)).
     """
@@ -161,7 +164,6 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     batch, steps, hdim = cache.h.shape
     sl_i, sl_f, sl_c, sl_o = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
 
-    tanh_c = np.tanh(cache.c)
     zero = np.zeros((batch, hdim))
     dz = np.zeros((batch, steps, 4 * hdim))
     dh_next = np.zeros((batch, hdim))
@@ -169,7 +171,7 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     for t in reversed(range(steps)):
         act = cache.gates[:, t]
         it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
-        tct = tanh_c[:, t]
+        tct = np.tanh(cache.c[:, t])
         c_prev = zero if t == 0 else cache.c[:, t - 1]
         dh = dh_out[:, t] + dh_next
         do = dh * tct

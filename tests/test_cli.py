@@ -106,6 +106,20 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,flag,key",
+        [
+            (["gen-synth", "--spec", "f0=1,f0=3", "--seq-len", "4"], "--spec", "'f0'"),
+            (["train", "--synthetic", "n=20, n=20"], "--synthetic", "'n'"),
+        ],
+    )
+    def test_repeated_synthetic_key_exits_2_naming_it(self, argv, flag, key, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and key in err
+
 
 class TestDataErrors:
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,23 @@ class TestTrainModel:
         b = train_model(tiny_config(), tcfg, split, data)
         assert a.curves == b.curves
         assert a.best_params.tobytes() == b.best_params.tobytes()
+
+    def test_no_model_cache_outlives_its_batch(self, monkeypatch):
+        # A step's forward must not run beside the previous batch's BPTT cache.
+        real, caches = Model.forward, []
+
+        def forward(self, *args, **kwargs):
+            alive = sum(ref() is not None for ref in caches)
+            assert alive == 0, f"{alive} earlier ModelCache alive"
+            probs, cache = real(self, *args, **kwargs)
+            caches.append(weakref.ref(cache))
+            return probs, cache
+
+        monkeypatch.setattr(Model, "forward", forward)
+        split = kfold_split(10, 1, seed=0)[0]
+        config = ModelConfig(variant=2, seq_len=16, hidden_sizes=(6, 4))
+        train_model(config, TrainConfig(epochs=2, batch_size=4, seed=1), split, tiny_dataset(seq_len=16))
+        assert len(caches) == 2 * 4  # 2 epochs of 4 batches over 14 training rows
 
     def test_empty_split_rejected(self):
         data = tiny_dataset()

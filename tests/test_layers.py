@@ -631,3 +631,74 @@ class TestScores:
         model = init_params(ModelConfig(variant=variant, seq_len=1024), 0)
         x = np.random.default_rng(0).standard_normal((8, 1024))
         assert peak(model.scores, x) < peak(model.forward, x) / 20
+
+
+def whole_array_tanh_backward(dh_out, cache, params):
+    """lstm_backward as it was when tanh(c) was one (batch, time, hidden)
+    array taken before the loop; kept as the bitwise reference."""
+    batch, steps, hdim = cache.h.shape
+    sl_i, sl_f, sl_c, sl_o = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
+    tanh_c = np.tanh(cache.c)
+    zero = np.zeros((batch, hdim))
+    dz = np.zeros((batch, steps, 4 * hdim))
+    dh_next = np.zeros((batch, hdim))
+    dc_next = np.zeros((batch, hdim))
+    for t in reversed(range(steps)):
+        act = cache.gates[:, t]
+        it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
+        tct = tanh_c[:, t]
+        c_prev = zero if t == 0 else cache.c[:, t - 1]
+        dh = dh_out[:, t] + dh_next
+        do = dh * tct
+        dc = dc_next + dh * ot * (1.0 - tct**2)
+        dz[:, t, sl_i] = dc * gt * it * (1.0 - it)
+        dz[:, t, sl_f] = dc * c_prev * ft * (1.0 - ft)
+        dz[:, t, sl_c] = dc * it * (1.0 - gt**2)
+        dz[:, t, sl_o] = do * ot * (1.0 - ot)
+        dc_next = dc * ft
+        dh_next = dz[:, t] @ params.recurrent.T
+
+    flat_dz = dz.reshape(batch * steps, 4 * hdim)
+    dkernel = cache.x.reshape(batch * steps, -1).T @ flat_dz
+    h_prev_all = np.concatenate([zero[:, None, :], cache.h[:, :-1]], axis=1)
+    drecurrent = h_prev_all.reshape(batch * steps, hdim).T @ flat_dz
+    dbias = flat_dz.sum(axis=0)
+    dx = (flat_dz @ params.kernel.T).reshape(cache.x.shape)
+    return dx, (dkernel, drecurrent, dbias)
+
+
+def random_layer(d, hdim, batch, steps, seed):
+    """(params, cache, dh_out) of one LSTM layer with random weights and
+    inputs; recurrent weights scaled by 1/sqrt(hidden), so that gradients
+    stay finite over thousands of steps."""
+    rng = np.random.default_rng(seed)
+    recurrent = rng.uniform(-1, 1, (hdim, 4 * hdim)) / math.sqrt(hdim)
+    params = LstmLayerParams(rng.uniform(-1, 1, (d, 4 * hdim)), recurrent, rng.uniform(-1, 1, 4 * hdim))
+    cache = lstm_forward(3 * rng.standard_normal((batch, steps, d)), params)
+    return params, cache, rng.standard_normal((batch, steps, hdim))
+
+
+class TestLstmBackward:
+    """lstm_backward takes tanh(c) one step at a time and holds no
+    (batch, time, hidden) array of it."""
+
+    @pytest.mark.parametrize(
+        "d,hdim,batch,steps",
+        [(d, h, b, 9) for d in (1, 3, 128) for h in (1, 3, 5, 64, 128) for b in (1, 3, 4)] + [(1, 128, 4, 4097)],
+    )
+    def test_equals_whole_array_tanh_form_bitwise(self, d, hdim, batch, steps):
+        params, cache, dh_out = random_layer(d, hdim, batch, steps, 1000 * d + 10 * hdim + batch)
+        dx, grads = layers.lstm_backward(dh_out, cache, params)
+        want_dx, want_grads = whole_array_tanh_backward(dh_out, cache, params)
+        assert dx.tobytes() == want_dx.tobytes()
+        for got, want in zip(grads, want_grads):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,hdim", [(1, 64), (128, 64), (1, 128)])
+    def test_peak_holds_no_tanh_c_array(self, d, hdim):
+        # Beside the cache and dh_out: dz (4 arrays), the shifted hidden
+        # states (1) and dx (d/hidden). A whole tanh(c) array adds one more.
+        batch, steps = 4, 1024
+        params, cache, dh_out = random_layer(d, hdim, batch, steps, 0)
+        arrays = peak(layers.lstm_backward, dh_out, cache, params) / (batch * steps * hdim * 8)
+        assert arrays <= 5.5 + d / hdim
