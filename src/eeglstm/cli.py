@@ -8,7 +8,6 @@ effective configuration before computing.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, fields
@@ -85,6 +84,8 @@ def _resolve_dataset(args, parser, seq_len):
         dataset = datamod.make_pair_dataset(first, second)
         source = f"bonn:{args.data}"
     else:
+        if args.pair:
+            parser.error("--pair applies only with --data; --synthetic names its own classes")
         spec = _parse_synth_spec(args.synthetic, parser)
         seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if seq_len is None else seq_len
         try:
@@ -118,7 +119,7 @@ def cmd_train(args, parser) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    harness.write_results_csv(out / "results.csv", [result])
+    table = harness.write_results_csv(out / "results.csv", [result])
     harness.write_curves_csv(out / "curves.csv", result.curves)
     harness.write_experiment_json(out / "result.json", [result])
 
@@ -135,8 +136,7 @@ def cmd_train(args, parser) -> int:
             "val_accuracy": best.best_val_accuracy,
         },
     )
-    print(",".join(harness.RESULTS_HEADER))
-    print(",".join(harness.results_row(result)))
+    print(table, end="")
     print(f"wrote {out / 'results.csv'}, {out / 'curves.csv'}, {out / 'result.json'}, {out / 'checkpoint.json'}")
     return 0
 
@@ -172,22 +172,19 @@ def cmd_evaluate(args, parser) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "metrics.json", "w", encoding="ascii") as fh:
-            json.dump(metrics, fh, indent=2)
-            fh.write("\n")
+        harness.write_json(out / "metrics.json", metrics)
         print(f"wrote {out / 'metrics.json'}")
     return 0
 
 
 def cmd_reproduce(args, parser) -> int:
     tcfg = _train_config(args)
-    seq_len = datamod.BONN_SEQ_LEN if args.seq_len is None else args.seq_len
     _print_config(
         "reproduce",
         {
             "data": args.data,
             "folds": args.folds,
-            "seq_len": seq_len,
+            "seq_len": args.seq_len,
             "standardize": args.standardize,
             "jobs": args.jobs,
             "out": args.out,
@@ -199,20 +196,17 @@ def cmd_reproduce(args, parser) -> int:
         args.folds,
         args.seed,
         tcfg,
-        seq_len=seq_len,
+        seq_len=args.seq_len,
         standardize=args.standardize,
         jobs=args.jobs,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    harness.write_results_csv(out / "results.csv", results, include_average=True)
+    table = harness.write_results_csv(out / "results.csv", results)
     for result in results:
         harness.write_curves_csv(out / f"curves_{result.pair[0]}_{result.pair[1]}.csv", result.curves)
     harness.write_experiment_json(out / "results.json", results)
-    print(",".join(harness.RESULTS_HEADER))
-    for result in results:
-        print(",".join(harness.results_row(result)))
-    print(",".join(harness.average_row(results)))
+    print(table, end="")
     print(f"wrote results under {out}")
     return 0
 
@@ -222,14 +216,13 @@ def cmd_gen_synth(args, parser) -> int:
     if spec.n != datamod.BONN_SET_SIZE:
         # --data loads exactly BONN_SET_SIZE files per set, so any other n is unloadable.
         parser.error(f"--spec: n must be {datamod.BONN_SET_SIZE} (files per on-disk set), got {spec.n}")
-    seq_len = datamod.DEFAULT_SYNTH_SEQ_LEN if args.seq_len is None else args.seq_len
     set_names = _parse_pair(args.sets, parser)
     _print_config(
         "gen-synth",
-        {"spec": asdict(spec), "seq_len": seq_len, "seed": args.seed, "sets": "/".join(set_names), "out": args.out},
+        {"spec": asdict(spec), "seq_len": args.seq_len, "seed": args.seed, "sets": "/".join(set_names), "out": args.out},
     )
     try:
-        dataset = datamod.gen_synthetic(spec, seq_len, args.seed)
+        dataset = datamod.gen_synthetic(spec, args.seq_len, args.seed)
     except ValueError as exc:
         parser.error(f"--spec: {exc}")
     dirs = datamod.export_bonn_format(dataset, args.out, set_names=set_names)
@@ -335,14 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = subs.add_parser("reproduce", help="run the full six-pair grid on an on-disk corpus")
     rep.add_argument("--data", required=True, help="corpus root holding sets A-E")
-    rep.add_argument("--seq-len", type=_pos_int, dest="seq_len")
+    rep.add_argument(
+        "--seq-len", type=_pos_int, dest="seq_len", default=datamod.BONN_SEQ_LEN, help="sequence length (default %(default)s)"
+    )
     rep.add_argument("--seed", type=_nonneg_int, default=0)
     _add_train_flags(rep)
     rep.set_defaults(func=cmd_reproduce)
 
     gen = subs.add_parser("gen-synth", help="write a synthetic surrogate corpus in the on-disk format")
     gen.add_argument("--spec", default="default", help="'default' or key=value list (n must be 100; values rounded to ints on disk)")
-    gen.add_argument("--seq-len", type=_pos_int, dest="seq_len")
+    gen.add_argument(
+        "--seq-len", type=_pos_int, dest="seq_len", default=datamod.DEFAULT_SYNTH_SEQ_LEN, help="lines per file (default %(default)s)"
+    )
     gen.add_argument("--seed", type=_nonneg_int, default=0)
     gen.add_argument("--sets", default="A,E", help="set names for the two class directories (default A,E)")
     gen.add_argument("--out", default="synth", help="output directory (default ./synth)")

@@ -287,21 +287,18 @@ def results_row(result: ExperimentResult):
     return _format_row("/".join(result.pair), str(result.variant), result.aggregate)
 
 
-def average_row(results):
-    """Column-wise mean over pairs, mirroring the summary line of the table."""
-    means = {key: _mean_defined([r.aggregate[key] for r in results])[0] for key in AGGREGATE_KEYS}
-    return _format_row("average", "", means)
-
-
-def write_results_csv(path, results, include_average: bool = False) -> None:
-    """CSV with one row per pair: percentages to two decimals, AUC to four."""
+def write_results_csv(path, results) -> str:
+    """Write results.csv and return its text: the header, one row per pair
+    and, with more than one pair, an `average` row of column-wise means over
+    pairs. Percentages to two decimals, AUC to four."""
+    rows = [RESULTS_HEADER, *map(results_row, results)]
+    if len(results) > 1:
+        means = {key: _mean_defined([r.aggregate[key] for r in results])[0] for key in AGGREGATE_KEYS}
+        rows.append(_format_row("average", "", means))
+    text = "".join(",".join(row) + "\n" for row in rows)
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for result in results:
-            writer.writerow(results_row(result))
-        if include_average:
-            writer.writerow(average_row(results))
+        fh.write(text)
+    return text
 
 
 def write_curves_csv(path, curves_by_fold) -> None:
@@ -341,9 +338,13 @@ def experiment_to_dict(result: ExperimentResult) -> dict:
 
 
 def write_experiment_json(path, results) -> None:
+    """result.json for one pair, results.json (a list) for several."""
     payload = [experiment_to_dict(r) for r in results]
-    if len(payload) == 1:
-        payload = payload[0]
+    write_json(path, payload[0] if len(payload) == 1 else payload)
+
+
+def write_json(path, payload) -> None:
+    """Every JSON artifact but the checkpoint: 2-space indent, one trailing newline."""
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

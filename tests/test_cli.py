@@ -1,12 +1,14 @@
 import json
 import os
 import signal
+from dataclasses import fields
 
 import pytest
 
 from eeglstm import harness
 from eeglstm.cli import main
 from eeglstm.data import SynthSpec, gen_synthetic, export_bonn_format
+from eeglstm.metrics import MetricsReport
 
 
 def run(argv):
@@ -120,6 +122,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert flag in err and key in err
 
+    def test_train_pair_with_synthetic_exits_2_naming_it(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(SMALL_TRAIN + ["--pair", "A,E", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--pair" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_pair_with_synthetic_exits_2_naming_it(self, tmp_path, capsys):
+        # evaluate loads the checkpoint before it resolves the data source
+        out = tmp_path / "out"
+        assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--checkpoint", str(out / "checkpoint.json"), "--synthetic", "n=10", "--pair", "A,E"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--pair" in captured.err
+        assert "== evaluate ==" not in captured.out
+
 
 class TestDataErrors:
     def test_missing_corpus_is_runtime_error(self, tmp_path, capsys):
@@ -174,6 +195,7 @@ class TestTrain:
         assert "learning_rate = 0.001" in printed  # effective config echoed
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "pair,model,val_acc,test_acc,sensitivity,specificity,precision,auc"
+        assert (out / "results.csv").read_text() in printed
 
     def test_checkpoint_is_loadable_and_evaluable(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -184,6 +206,24 @@ class TestTrain:
         ])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
+
+    def test_evaluate_out_writes_the_printed_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        code = run([
+            "evaluate", "--checkpoint", str(out / "checkpoint.json"),
+            "--synthetic", "default", "--seed", "3", "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out
+        text = (tmp_path / "ev" / "metrics.json").read_text()
+        doc = json.loads(text)
+        assert list(doc) == [f.name for f in fields(MetricsReport)]
+        for key, value in doc.items():
+            assert f"  {key} = {value}\n" in printed
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert text.startswith('{\n  "') and not text.endswith("\n\n")
 
     def test_evaluate_variant_check(self, tmp_path):
         out = tmp_path / "out"
@@ -250,7 +290,7 @@ class TestReproduce:
             run(["reproduce"])
         assert exc.value.code == 2
 
-    def test_runs_on_tiny_surrogate_corpus(self, tmp_path):
+    def test_runs_on_tiny_surrogate_corpus(self, tmp_path, capsys):
         # five sets named A-E (100 files each) so every pair in the grid resolves
         amps = {"A": 200, "B": 220, "C": 240, "D": 800, "E": 1200}
         for name, amp in amps.items():
@@ -265,5 +305,6 @@ class TestReproduce:
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 6 + 1  # header, six pairs, average
         assert rows[-1].startswith("average,")
+        assert (out / "results.csv").read_text() in capsys.readouterr().out
         assert (out / "curves_A_E.csv").exists()
         assert (out / "results.json").exists()

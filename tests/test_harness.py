@@ -252,7 +252,7 @@ class TestArtifacts:
 
     def test_average_row(self, result, tmp_path):
         path = tmp_path / "results.csv"
-        write_results_csv(path, [result, result], include_average=True)
+        write_results_csv(path, [result, result])
         with path.open() as fh:
             rows = list(csv.reader(fh))
         assert rows[-1][0] == "average"

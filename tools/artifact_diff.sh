@@ -8,9 +8,10 @@
 # in its own directory under one temporary directory. Every output path is
 # relative to that directory, so both trees' logs name the same paths. Then
 # `diff -r` compares the generated corpora, results.csv, curves.csv,
-# result.json, checkpoint.json, metrics.json, reproduce's results.csv (with its
-# average row), curves_X_Y.csv and results.json, and every log (stdout, stderr
-# and exit code of each command).
+# result.json, checkpoint.json, metrics.json (of a model-1 and a model-2
+# checkpoint), reproduce's results.csv (with its average row), curves_X_Y.csv
+# and results.json, and every log (stdout, stderr and exit code of each
+# command; the logs hold the printed results tables).
 #
 # Exit status: 0 when everything is identical and every command succeeded;
 # 1 on any difference or failed command (the temporary directory is kept and
@@ -52,6 +53,12 @@ run_tree() {
             --epochs 1 --seed 5 --out train-synth-keys
         step train-m2-jobs.log train --synthetic default --model 2 --seq-len 32 --folds 3 --epochs 2 \
             --seed 3 --jobs 2 --out train-m2-jobs
+        # 28 training rows per fold in batches of 3: every epoch ends on a 1-row batch, which numpy
+        # multiplies with gemv
+        step train-m2-row.log train --synthetic n=20 --model 2 --seq-len 24 --batch 3 --folds 2 --epochs 1 \
+            --seed 9 --out train-m2-row
+        step evaluate-m2.log evaluate --checkpoint train-m2-row/checkpoint.json --synthetic n=10 --seed 4 \
+            --out evaluate-m2
         # five sets A-E for reproduce's six pairs; the third call rewrites D
         step gen-synth-ae.log gen-synth --spec amp=300,noise=40 --seq-len 32 --seed 11 --sets A,E --out corpus5
         step gen-synth-bd.log gen-synth --spec amp=300,noise=40 --seq-len 32 --seed 12 --sets B,D --out corpus5
