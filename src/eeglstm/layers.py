@@ -3,16 +3,22 @@ backward passes (backpropagation through time).
 
 LSTM gate weights are stored stacked: one matrix product per time step
 computes every gate pre-activation. Column blocks are ordered input, forget,
-cell candidate, output. One step, lstm_step, advances a layer in place on
-preallocated buffers: one sigmoid over all four blocks, then tanh over the
-candidate block, overwriting it. Both LSTM loops run it. lstm_forward, the
-training forward, keeps a cache: a layer's gate activations in one (batch,
-time, 4*hidden) array in the same column order (the input projection for
-every step, overwritten step by step with that step's activations) plus the
-cell and hidden states, 6*hidden floats per sample-step. Model.scores keeps
-none: it runs the step time-major through every layer over chunks of
-SCORE_CHUNK (40) sequences, so its memory is a few (chunk, 4*hidden) buffers
-per layer, whatever the length or number of the sequences.
+cell candidate, output. Inside the LSTM loops the gates are gate-major: a
+step's four blocks are one (4, batch, hidden) array, so each gate is a
+contiguous (batch, hidden) block and the elementwise numpy calls take their
+contiguous fast path (the re-layout of Appleyard et al. 2016, Optimizing
+Performance of Recurrent Neural Networks on GPUs, arXiv:1604.01946). One
+step, lstm_step, advances a layer on preallocated buffers: one sigmoid over
+all four blocks, then tanh over the candidate block, overwriting it. Both
+LSTM loops run it. lstm_forward, the training forward, keeps a time-major
+cache: a layer's gate activations in one (time, 4, batch, hidden) array (the
+input projection for every step, overwritten step by step with that step's
+activations) plus the (time, batch, hidden) cell states, 5*hidden floats per
+sample-step; the backward recomputes the hidden states from them.
+Model.scores keeps none: it runs the step time-major through every layer
+over chunks of SCORE_CHUNK (40) sequences, so its memory is a few
+(chunk, 4*hidden) buffers per layer, whatever the length or number of the
+sequences.
 
 Shapes follow the batched convention (batch, time, features). A Model takes
 single-channel input, (batch, time), so its first layer sees one feature;
@@ -40,6 +46,12 @@ VARIANT_DEFAULTS = {1: ((64,), 0.0), 2: ((128, 64), 0.35)}
 # 200 recordings score about 1.2x faster than with 20 (2 vCPU Xeon, one BLAS
 # thread, models 1 and 2).
 SCORE_CHUNK = 40
+
+# Time steps per block of lstm_backward's bulk precomputation. A block holds
+# 7 (batch, hidden) arrays per step, so at T=4097 and batch 4 it adds 0.05
+# hidden-floats per sample-step to the backward's peak. 16 to 32 steps were
+# fastest at H=64 and H=128 (2 vCPU Xeon, one BLAS thread).
+BACKWARD_CHUNK = 32
 
 
 def sigmoid(x, out=None) -> np.ndarray:
@@ -80,49 +92,65 @@ class LstmLayerParams:
 class LstmLayerCache:
     """What backpropagation through time reads from one layer's forward pass.
 
-    gates: (batch, time, 4*hidden) activations in the stacked i, f, c, o
-    column order of the weights (sigmoid for i, f, o; tanh for the cell
-    candidate). c and h: (batch, time, hidden) cell and hidden states.
-    x: the input (batch, time, d). The initial states are zero.
+    gates: (time, 4, batch, hidden) activations, time-major then gate-major
+    in the i, f, c, o order of the weights' column blocks (sigmoid for i, f,
+    o; tanh for the cell candidate), so gates[t, k] is one contiguous
+    (batch, hidden) block. c: (time, batch, hidden) cell states. x: the
+    input (batch, time, d). The initial states are zero. The hidden states
+    are not kept: h = o*tanh(c) recomputes them bit for bit.
     """
 
     x: np.ndarray
     gates: np.ndarray
     c: np.ndarray
-    h: np.ndarray
 
 
-def lstm_step(act, h, c, params: LstmLayerParams, z) -> None:
-    """Advance one LSTM layer by one time step, in place; allocates only
-    sigmoid's temporary.
+def step_scratch(params: LstmLayerParams, batch: int):
+    """lstm_step's scratch for one layer at one batch size: the recurrent
+    product (batch, 4*hidden), its (4, batch, hidden) gate-major view, the
+    pre-activation (4, batch, hidden) and the bias broadcast to that shape."""
+    hdim = params.hidden_dim
+    z, bias = np.empty((batch, 4 * hdim)), np.empty((4, batch, hdim))
+    bias[...] = params.bias.reshape(4, 1, hdim)
+    return z, z.reshape(batch, 4, hdim).transpose(1, 0, 2), np.empty((4, batch, hdim)), bias
 
-    act: (batch, 4*hidden), the step's input projection x_t @ kernel on entry
-    and its gate activations on return. h, c: (batch, hidden) contiguous
-    previous states, overwritten with the new ones. z: (batch, 4*hidden)
-    contiguous scratch for the pre-activation (proj + h @ recurrent) + bias.
-    One sigmoid covers all four blocks, then tanh overwrites the candidate.
+
+def lstm_step(proj, act, h_prev, c_prev, h, c, params: LstmLayerParams, scratch) -> None:
+    """Advance one LSTM layer by one time step; allocates only sigmoid's
+    temporary.
+
+    proj: (4, batch, hidden) view of the step's input projection x_t @ kernel.
+    act: contiguous (4, batch, hidden), overwritten with the gate
+    activations; it may be proj. h_prev, c_prev: (batch, hidden) previous
+    states. h, c: contiguous (batch, hidden), overwritten with the new
+    states; they may be h_prev and c_prev. scratch: step_scratch(params,
+    batch). The pre-activation is (proj + h_prev @ recurrent) + bias; one
+    sigmoid covers all four blocks, then tanh overwrites the candidate. Each
+    gate block is a contiguous (batch, hidden) array, so every elementwise
+    call but the first add takes numpy's contiguous fast path.
     """
-    hdim = h.shape[1]
-    i, f, g, o = act[:, :hdim], act[:, hdim : 2 * hdim], act[:, 2 * hdim : 3 * hdim], act[:, 3 * hdim :]
-    np.matmul(h, params.recurrent, out=z)
-    np.add(act, z, out=z)
-    np.add(z, params.bias, out=z)
-    sigmoid(z, out=act)
-    np.tanh(z[:, 2 * hdim : 3 * hdim], out=g)
-    ig = z[:, :hdim]  # the pre-activation is spent; reuse it for i*g
-    np.multiply(f, c, out=c)
+    z, z_gates, pre, bias = scratch
+    np.matmul(h_prev, params.recurrent, out=z)
+    np.add(proj, z_gates, out=pre)
+    np.add(pre, bias, out=pre)
+    sigmoid(pre, out=act)
+    i, f, g, o = act
+    np.tanh(pre[2], out=g)
+    ig = pre[0]  # the pre-activation is spent; reuse it for i*g
+    np.multiply(f, c_prev, out=c)
     np.multiply(i, g, out=ig)
     np.add(c, ig, out=c)
     np.tanh(c, out=h)
     np.multiply(o, h, out=h)
 
 
-def lstm_forward(x, params: LstmLayerParams) -> LstmLayerCache:
+def lstm_forward(x, params: LstmLayerParams):
     """Run one LSTM layer over a batch of sequences from a zero state.
 
     x: (batch, time, input_dim). Gate dynamics per step: i,f,o =
     sigmoid(gates), g = tanh(candidate), c = f*c_prev + i*g, h = o*tanh(c),
-    with h and c zero before the first step.
+    with h and c zero before the first step. Returns (h, cache): h is the
+    (batch, time, hidden) hidden states, a view of a time-major array.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -134,58 +162,98 @@ def lstm_forward(x, params: LstmLayerParams) -> LstmLayerCache:
         raise ShapeError(f"input feature dim {d} != layer input dim {params.input_dim}")
     hdim = params.hidden_dim
 
-    # Input contribution for every step in one product; the loop overwrites
-    # each step's slice with that step's gate activations.
-    gates = (x.reshape(batch * steps, d) @ params.kernel).reshape(batch, steps, 4 * hdim)
-    cs = np.empty((batch, steps, hdim))
-    hs = np.empty((batch, steps, hdim))
-    h, c, z = np.zeros((batch, hdim)), np.zeros((batch, hdim)), np.empty((batch, 4 * hdim))
-    for t in range(steps):
-        lstm_step(gates[:, t], h, c, params, z)
-        cs[:, t], hs[:, t] = c, h
-
-    return LstmLayerCache(x, gates, cs, hs)
+    # Input contribution for every step; the loop overwrites each step's
+    # block with that step's gate activations.
+    gates = np.empty((steps, 4, batch, hdim))
+    if d == 1:
+        # x_t * kernel is the product's only term: one broadcast multiply.
+        np.multiply(x.transpose(1, 0, 2)[:, None], params.kernel.reshape(4, 1, hdim), out=gates)
+    else:
+        # One product over the rows in (batch, time) order, then one re-layout.
+        proj = x.reshape(batch * steps, d) @ params.kernel
+        gates[...] = proj.reshape(batch, steps, 4, hdim).transpose(1, 2, 0, 3)
+        del proj  # 4*hidden floats per sample-step the loop does not need
+    cs = np.empty((steps, batch, hdim))
+    hs = np.empty((steps, batch, hdim))
+    scratch = step_scratch(params, batch)
+    h_prev = c_prev = np.zeros((batch, hdim))
+    for act, h, c in zip(gates, hs, cs):
+        lstm_step(act, act, h_prev, c_prev, h, c, params, scratch)
+        h_prev, c_prev = h, c
+    return hs.transpose(1, 0, 2), LstmLayerCache(x, gates, cs)
 
 
 def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     """Backpropagate through time for one LSTM layer.
 
     dh_out: (batch, time, hidden) upstream gradient on every timestep's
-    hidden output (zeros where the output is unused). tanh(c) is taken one
-    step at a time, so beside the cache and dh_out the backward holds dz
-    (4*hidden floats per sample-step), then the shifted hidden states and dx:
-    about 5*hidden + input_dim floats per sample-step at its peak.
+    hidden output (zeros where the output is unused). Blocks of
+    BACKWARD_CHUNK steps, last first, take in bulk what a step reads from the
+    forward: 1-i, 1-f, 1-g**2, 1-o, tanh(c), 1-tanh(c)**2 and dh_out, all
+    time-major, and the hidden states o*tanh(c). Each step then forms its
+    gate gradients in a contiguous (4, batch, hidden) block and copies it
+    into dz, (batch, time, 4*hidden), so that the weight-gradient products
+    see rows in (batch, time) order. Beside the cache and dh_out the backward
+    holds dz, the shifted hidden states and dx: about 5*hidden + input_dim
+    floats per sample-step at its peak, plus 7*hidden floats per sample and
+    step of one block.
 
     Returns (dx, (dkernel, drecurrent, dbias)).
     """
     dh_out = np.asarray(dh_out, dtype=np.float64)
-    if dh_out.shape != cache.h.shape:
-        raise ShapeError(f"upstream gradient {dh_out.shape} != cached outputs {cache.h.shape}")
-    batch, steps, hdim = cache.h.shape
-    sl_i, sl_f, sl_c, sl_o = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
+    steps, batch, hdim = cache.c.shape
+    if dh_out.shape != (batch, steps, hdim):
+        raise ShapeError(f"upstream gradient {dh_out.shape} != layer outputs {(batch, steps, hdim)}")
+    gates, cs, recurrent_t = cache.gates, cache.c, params.recurrent.T
 
-    zero = np.zeros((batch, hdim))
-    dz = np.zeros((batch, steps, 4 * hdim))
-    dh_next = np.zeros((batch, hdim))
-    dc_next = np.zeros((batch, hdim))
-    for t in reversed(range(steps)):
-        act = cache.gates[:, t]
-        it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
-        tct = np.tanh(cache.c[:, t])
-        c_prev = zero if t == 0 else cache.c[:, t - 1]
-        dh = dh_out[:, t] + dh_next
-        do = dh * tct
-        dc = dc_next + dh * ot * (1.0 - tct**2)
-        dz[:, t, sl_i] = dc * gt * it * (1.0 - it)
-        dz[:, t, sl_f] = dc * c_prev * ft * (1.0 - ft)
-        dz[:, t, sl_c] = dc * it * (1.0 - gt**2)
-        dz[:, t, sl_o] = do * ot * (1.0 - ot)
-        dc_next = dc * ft
-        dh_next = dz[:, t] @ params.recurrent.T
+    dz = np.empty((batch, steps, 4 * hdim))
+    dz_blocks = dz.reshape(batch, steps, 4, hdim)
+    h_prev_all = np.empty((batch, steps, hdim))  # h_prev_all[:, t] is h[:, t-1]
+    h_prev_all[:, 0] = 0.0
+    n = min(BACKWARD_CHUNK, steps)
+    one_minus = np.empty((n, 4, batch, hdim))  # 1-i, 1-f, 1-g**2, 1-o
+    tanh_c, one_minus_tanh2, dh_chunk = (np.empty((n, batch, hdim)) for _ in range(3))
+    step_dz = np.empty((4, batch, hdim))
+    dz_i, dz_f, dz_c, dz_o = step_dz
+    zero, dh = np.zeros((batch, hdim)), np.empty((batch, hdim))
+    dh_next, dc = np.zeros((batch, hdim)), np.zeros((batch, hdim))
+    for end in range(steps, 0, -n):
+        start = max(end - n, 0)
+        m = end - start
+        chunk, om, tc, dtc, dhc = gates[start:end], one_minus[:m], tanh_c[:m], one_minus_tanh2[:m], dh_chunk[:m]
+        np.subtract(1.0, chunk, out=om)
+        np.square(chunk[:, 2], out=om[:, 2])
+        np.subtract(1.0, om[:, 2], out=om[:, 2])
+        np.tanh(cs[start:end], out=tc)
+        np.square(tc, out=dtc)
+        np.subtract(1.0, dtc, out=dtc)
+        dhc[...] = dh_out[:, start:end].transpose(1, 0, 2)
+        # h = o*tanh(c), the forward's hidden states bit for bit; step t's is step t+1's h_prev.
+        m_h = min(end, steps - 1) - start
+        np.multiply(chunk[:m_h, 3], tc[:m_h], out=h_prev_all[:, start + 1 : start + 1 + m_h].transpose(1, 0, 2))
+        # Each product in the order of the batch-major form, so every bit is the same.
+        for t in range(end - 1, start - 1, -1):
+            k = t - start
+            i, f, g, o = gates[t]
+            c_prev = zero if t == 0 else cs[t - 1]
+            np.add(dhc[k], dh_next, out=dh)
+            np.multiply(dh, tc[k], out=dz_o)  # do
+            np.multiply(dh, o, out=dh)
+            np.multiply(dh, dtc[k], out=dh)
+            np.add(dc, dh, out=dc)  # dc = dc_next + dh*o*(1 - tanh(c)**2)
+            np.multiply(dc, g, out=dz_i)
+            np.multiply(dz_i, i, out=dz_i)
+            np.multiply(dc, c_prev, out=dz_f)
+            np.multiply(dz_f, f, out=dz_f)
+            np.multiply(dc, i, out=dz_c)
+            np.multiply(dz_o, o, out=dz_o)
+            np.multiply(step_dz, om[k], out=step_dz)  # times 1-i, 1-f, 1-g**2, 1-o
+            np.multiply(dc, f, out=dc)  # dc_next
+            dz_blocks[:, t] = step_dz.transpose(1, 0, 2)
+            np.matmul(dz[:, t], recurrent_t, out=dh_next)
 
     flat_dz = dz.reshape(batch * steps, 4 * hdim)
     dkernel = cache.x.reshape(batch * steps, -1).T @ flat_dz
-    h_prev_all = np.concatenate([zero[:, None, :], cache.h[:, :-1]], axis=1)
     drecurrent = h_prev_all.reshape(batch * steps, hdim).T @ flat_dz
     dbias = flat_dz.sum(axis=0)
     dx = (flat_dz @ params.kernel.T).reshape(cache.x.shape)
@@ -372,9 +440,10 @@ class Model:
         feed = x
         out = None
         for idx, layer in enumerate(self.lstm_layers):
-            lcache = lstm_forward(feed, layer)
+            out, lcache = lstm_forward(feed, layer)
             cache.lstm_caches.append(lcache)
-            out = lcache.h[:, -1] if idx == last else lcache.h
+            if idx == last:  # a copy, so that nothing holds the hidden states of every step
+                out = out[:, -1].copy()
             out, mask = dropout_forward(out, p, rng) if p > 0.0 else (out, None)
             cache.dropout_masks.append(mask)
             feed = out
@@ -410,7 +479,8 @@ class Model:
                 upstream = upstream * mask
             lcache = cache.lstm_caches[idx]
             if idx == last:
-                dh_out = np.zeros_like(lcache.h)
+                steps, batch, hdim = lcache.c.shape
+                dh_out = np.zeros((batch, steps, hdim))
                 dh_out[:, -1] = upstream
             else:
                 dh_out = upstream
@@ -423,12 +493,12 @@ class Model:
         """Eval-mode probabilities for a batch (dropout inactive), with no cache.
 
         Runs lstm_step over chunks of SCORE_CHUNK rows, time step by time
-        step through every layer, so it keeps two (rows, 4*hidden) and two
+        step through every layer, so it keeps a few (rows, 4*hidden) and
         (rows, hidden) buffers per layer and no (rows, time, .) array. Under
         OpenBLAS it equals forward(x)[0] bitwise. numpy multiplies a single
         row by its matrix-vector path, which rounds differently from
         forward's whole-sequence product, so a 1-row input goes through
-        forward (its cache is 6*hidden floats per step and layer) and a
+        forward (its cache is 5*hidden floats per step and layer) and a
         1-row tail joins the previous chunk.
         """
         x = self._as_batch(x)[:, :, 0]
@@ -440,20 +510,24 @@ class Model:
             starts.pop()
         probs = np.empty(n)
         for lo, hi in zip(starts, starts[1:] + [n]):
-            # Per layer: the gate block, the hidden and cell states, the step's scratch.
             rows = hi - lo
-            state = [
-                (layer, np.empty((rows, 4 * layer.hidden_dim)), np.zeros((rows, layer.hidden_dim)),
-                 np.zeros((rows, layer.hidden_dim)), np.empty((rows, 4 * layer.hidden_dim)))
-                for layer in self.lstm_layers
-            ]
+            state = []
+            for layer in self.lstm_layers:
+                # Per layer: the input projection and its gate-major view, the
+                # gate block, the hidden and cell states, the step's scratch.
+                hdim = layer.hidden_dim
+                proj = np.empty((rows, 4 * hdim))
+                state.append((
+                    layer, proj, proj.reshape(rows, 4, hdim).transpose(1, 0, 2), np.empty((4, rows, hdim)),
+                    np.zeros((rows, hdim)), np.zeros((rows, hdim)), step_scratch(layer, rows),
+                ))
             for t in range(x.shape[1]):
                 feed = x[lo:hi, t : t + 1]
-                for layer, act, h, c, z in state:
+                for layer, proj, proj_gates, act, h, c, scratch in state:
                     # With one input feature, x_t * kernel is the product's only term;
                     # multiply forms it in about half matmul's time.
-                    (np.multiply if layer.input_dim == 1 else np.matmul)(feed, layer.kernel, out=act)
-                    lstm_step(act, h, c, layer, z)
+                    (np.multiply if layer.input_dim == 1 else np.matmul)(feed, layer.kernel, out=proj)
+                    lstm_step(proj_gates, act, h, c, h, c, layer, scratch)
                     feed = h
             probs[lo:hi] = sigmoid(feed @ self.dense.weights + self.dense.bias)
         return probs

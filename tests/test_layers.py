@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from eeglstm import layers
 from eeglstm.errors import ShapeError
 from eeglstm.layers import (
+    BACKWARD_CHUNK,
     SCORE_CHUNK,
     LstmLayerParams,
     ModelConfig,
@@ -45,9 +46,17 @@ def scalar_cell_oracle(x, h_prev, c_prev, w, u, b):
     return h, c
 
 
+def batch_major(x, params):
+    """lstm_forward's hidden states, cell states and gate activations, each
+    read as (batch, time, .); the gates in i, f, c, o column order."""
+    h, cache = lstm_forward(x, params)
+    steps, _, batch, hdim = cache.gates.shape
+    return h, cache.c.transpose(1, 0, 2), cache.gates.transpose(2, 0, 1, 3).reshape(batch, steps, 4 * hdim)
+
+
 def run_scalar(xs, params):
-    """lstm_forward on one d=1 sequence; returns the (1, T, 1)-shaped cache."""
-    return lstm_forward(np.asarray(xs, dtype=np.float64).reshape(1, -1, 1), params)
+    """lstm_forward on one d=1 sequence; returns (1, T, .)-shaped h, c and gates."""
+    return batch_major(np.asarray(xs, dtype=np.float64).reshape(1, -1, 1), params)
 
 
 def naive_lstm(x, layer):
@@ -132,10 +141,10 @@ class TestActivations:
 
 class TestLstmCell:
     def test_all_zero_params_zero_state(self):
-        cache = run_scalar([3.7], scalar_params())
-        assert cache.h[0, 0, 0] == 0.0 and cache.c[0, 0, 0] == 0.0
+        h, c, gates = run_scalar([3.7], scalar_params())
+        assert h[0, 0, 0] == 0.0 and c[0, 0, 0] == 0.0
         # gates sit at sigmoid(0) = 0.5, candidate at tanh(0) = 0
-        gate_i, gate_f, gate_c, gate_o = cache.gates[0, 0]
+        gate_i, gate_f, gate_c, gate_o = gates[0, 0]
         assert gate_i == 0.5
         assert gate_f == 0.5
         assert gate_o == 0.5
@@ -143,8 +152,8 @@ class TestLstmCell:
 
     def test_candidate_bias_case(self):
         # weights zero, b_c = 1 so the candidate is tanh(1), zero prev state
-        cache = run_scalar([0.3], scalar_params(b_c=1.0))
-        c, h = cache.c[0, 0, 0], cache.h[0, 0, 0]
+        hs, cs, _ = run_scalar([0.3], scalar_params(b_c=1.0))
+        c, h = cs[0, 0, 0], hs[0, 0, 0]
         c_expect = 0.5 * math.tanh(1.0)
         h_expect = 0.5 * math.tanh(c_expect)
         assert c == pytest.approx(c_expect, abs=1e-15)
@@ -157,12 +166,12 @@ class TestLstmCell:
         # (x = 0, candidate tanh(0) = 0) only carries it, scaled by sigmoid(b_f)
         params = scalar_params(b_f=1.0)
         params.kernel[0, 2] = 1.0
-        cache = run_scalar([1.0, 0.0], params)
+        hs, cs, _ = run_scalar([1.0, 0.0], params)
         c1 = 0.5 * math.tanh(1.0)
-        c, h = cache.c[0, 1, 0], cache.h[0, 1, 0]
+        c, h = cs[0, 1, 0], hs[0, 1, 0]
         c_expect = scalar_sigmoid(1.0) * c1
         h_expect = 0.5 * math.tanh(c_expect)
-        assert cache.c[0, 0, 0] == pytest.approx(c1, abs=1e-15)
+        assert cs[0, 0, 0] == pytest.approx(c1, abs=1e-15)
         assert c == pytest.approx(c_expect, abs=1e-15)
         assert h == pytest.approx(h_expect, abs=1e-15)
         assert c == pytest.approx(0.278385, abs=1e-6)
@@ -178,11 +187,11 @@ class TestLstmCell:
         )
         # the second step starts from the non-zero state the first one left
         h, c = 0.0, 0.0
-        cache = run_scalar([-1.3, 0.7], params)
+        hs, cs, _ = run_scalar([-1.3, 0.7], params)
         for t, x in enumerate((-1.3, 0.7)):
             h, c = scalar_cell_oracle(x, h, c, w, u, b)
-            assert cache.h[0, t, 0] == pytest.approx(h, abs=1e-14)
-            assert cache.c[0, t, 0] == pytest.approx(c, abs=1e-14)
+            assert hs[0, t, 0] == pytest.approx(h, abs=1e-14)
+            assert cs[0, t, 0] == pytest.approx(c, abs=1e-14)
         assert h != 0.0 and c != 0.0
 
     def test_shape_errors(self):
@@ -195,19 +204,19 @@ class TestLstmCell:
 class TestLstmSequence:
     def test_all_zero_params_zero_output(self):
         params = LstmLayerParams(np.zeros((1, 12)), np.zeros((3, 12)), np.zeros(12))
-        cache = lstm_forward(np.ones((1, 5, 1)), params)
-        assert cache.h.shape == (1, 5, 3)
-        assert np.all(cache.h == 0.0)
+        h, _ = lstm_forward(np.ones((1, 5, 1)), params)
+        assert h.shape == (1, 5, 3)
+        assert np.all(h == 0.0)
 
     def test_two_step_unroll_matches_scalar_oracle(self):
-        cache = run_scalar([1.0, 1.0], scalar_params(b_c=1.0))
+        hs, cs, _ = run_scalar([1.0, 1.0], scalar_params(b_c=1.0))
         b = {"i": 0.0, "f": 0.0, "c": 1.0, "o": 0.0}
         zero = {g: 0.0 for g in "ifco"}
         h1, c1 = scalar_cell_oracle(1.0, 0.0, 0.0, zero, zero, b)
         h2, c2 = scalar_cell_oracle(1.0, h1, c1, zero, zero, b)
-        assert cache.h[0, 0, 0] == pytest.approx(h1, abs=1e-15)
-        assert cache.h[0, 1, 0] == pytest.approx(h2, abs=1e-15)
-        assert cache.c[0, 1, 0] == pytest.approx(c2, abs=1e-15)
+        assert hs[0, 0, 0] == pytest.approx(h1, abs=1e-15)
+        assert hs[0, 1, 0] == pytest.approx(h2, abs=1e-15)
+        assert cs[0, 1, 0] == pytest.approx(c2, abs=1e-15)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -222,9 +231,9 @@ class TestLstmSequence:
         params = LstmLayerParams(
             rng.uniform(-3, 3, (1, 4 * h)), rng.uniform(-3, 3, (h, 4 * h)), rng.uniform(-3, 3, 4 * h)
         )
-        cache = lstm_forward(rng.uniform(-5, 5, (2, steps, 1)), params)
-        assert np.all(np.abs(cache.h) < 1.0)
-        gate_i, gate_f, _, gate_o = np.split(cache.gates, 4, axis=-1)
+        hs, _, gates = batch_major(rng.uniform(-5, 5, (2, steps, 1)), params)
+        assert np.all(np.abs(hs) < 1.0)
+        gate_i, gate_f, _, gate_o = np.split(gates, 4, axis=-1)
         assert np.all(gate_i > 0.0) and np.all(gate_i < 1.0)
         assert np.all(gate_f > 0.0) and np.all(gate_f < 1.0)
         assert np.all(gate_o > 0.0) and np.all(gate_o < 1.0)
@@ -238,10 +247,10 @@ class TestNaiveReference:
             rng.uniform(-1, 1, (d, 4 * hdim)), rng.uniform(-1, 1, (hdim, 4 * hdim)), rng.uniform(-1, 1, 4 * hdim)
         )
         x = rng.standard_normal((3, 7, d))
-        cache = lstm_forward(x, params)
+        h, c, _ = batch_major(x, params)
         h_ref, c_ref = naive_lstm(x, params)
-        np.testing.assert_allclose(cache.h, h_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(cache.c, c_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [1, 4, 20])
     @pytest.mark.parametrize("hdim", [1, 3, 64])
@@ -266,8 +275,8 @@ class TestNaiveReference:
             it, ft, gt, ot = (act[:, k * hdim : (k + 1) * hdim] for k in range(4))
             c_prev = cs[:, t] = ft * c_prev + it * gt
             h_prev = hs[:, t] = ot * np.tanh(c_prev)
-        cache = lstm_forward(x, params)
-        for got, want in ((cache.gates, gates), (cache.c, cs), (cache.h, hs)):
+        got_h, got_c, got_gates = batch_major(x, params)
+        for got, want in ((got_gates, gates), (got_c, cs), (got_h, hs)):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("hidden", [(6,), (6, 4)])
@@ -507,10 +516,36 @@ class TestModel:
         model = init_params(ModelConfig(variant=2, seq_len=7, hidden_sizes=(5, 3)), 0)
         _, cache = model.forward(np.random.default_rng(0).standard_normal((4, 7)))
         for lcache, d, h in zip(cache.lstm_caches, (1, 5), (5, 3)):
-            assert [f.name for f in dataclasses.fields(lcache)] == ["x", "gates", "c", "h"]
+            assert [f.name for f in dataclasses.fields(lcache)] == ["x", "gates", "c"]
             assert lcache.x.shape == (4, 7, d)
-            assert lcache.gates.shape == (4, 7, 4 * h)
-            assert lcache.c.shape == lcache.h.shape == (4, 7, h)
+            assert lcache.gates.shape == (7, 4, 4, h)
+            assert lcache.c.shape == (7, 4, h)
+
+    def test_training_cache_is_time_major_and_holds_no_h(self):
+        model = init_params(ModelConfig(variant=2, seq_len=7, hidden_sizes=(5, 3)), 0)
+        x = np.random.default_rng(0).standard_normal((4, 7))
+        _, cache = model.forward(x, train=True, rng=np.random.default_rng(1))
+        assert "h" not in [f.name for f in dataclasses.fields(layers.LstmLayerCache)]
+        for lcache, h in zip(cache.lstm_caches, (5, 3)):
+            assert lcache.gates.shape == (7, 4, 4, h) and lcache.gates.flags.c_contiguous
+            assert lcache.c.shape == (7, 4, h) and lcache.c.flags.c_contiguous
+
+    @pytest.mark.parametrize("variant,limit", [(1, 11.1), (2, 10.45)])
+    def test_training_step_peak_in_hidden_floats_per_sample_step(self, variant, limit):
+        # tracemalloc peak of one forward and backward at the paper's shape
+        # (batch 4, T=4097), in floats per sample-step per hidden unit summed
+        # over the layers: it reads 11.09 (model 1) and 10.41 (model 2).
+        model = init_params(ModelConfig(variant=variant), 0)
+        x = np.random.default_rng(0).standard_normal((4, model.config.seq_len))
+        unit = x.size * sum(model.config.hidden_sizes) * 8
+
+        def step():
+            probs, cache = model.forward(x, train=True, rng=np.random.default_rng(1))
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            model.backward(cache, probs - 0.5)
+            assert forward_peak < tracemalloc.get_traced_memory()[1]
+
+        assert peak(step) / unit <= limit
 
     def test_backward_leaves_cache_unchanged(self):
         model = init_params(ModelConfig(variant=2, seq_len=7, hidden_sizes=(5, 3)), 0)
@@ -615,9 +650,9 @@ class TestScores:
         calls = []
         real = layers.lstm_step
 
-        def counted(act, h, c, params, z):
+        def counted(proj, act, h_prev, c_prev, h, c, params, scratch):
             calls.append(params.hidden_dim)
-            real(act, h, c, params, z)
+            real(proj, act, h_prev, c_prev, h, c, params, scratch)
 
         monkeypatch.setattr(layers, "lstm_step", counted)
         model.forward(x)
@@ -635,8 +670,10 @@ class TestScores:
 
 def whole_array_tanh_backward(dh_out, cache, params):
     """lstm_backward as it was when tanh(c) was one (batch, time, hidden)
-    array taken before the loop; kept as the bitwise reference."""
-    batch, steps, hdim = cache.h.shape
+    array taken before the loop; kept as the bitwise reference. It reads the
+    time-major cache and takes the hidden states from lstm_forward."""
+    steps, batch, hdim = cache.c.shape
+    hs, _ = lstm_forward(cache.x, params)
     sl_i, sl_f, sl_c, sl_o = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
     tanh_c = np.tanh(cache.c)
     zero = np.zeros((batch, hdim))
@@ -644,10 +681,9 @@ def whole_array_tanh_backward(dh_out, cache, params):
     dh_next = np.zeros((batch, hdim))
     dc_next = np.zeros((batch, hdim))
     for t in reversed(range(steps)):
-        act = cache.gates[:, t]
-        it, ft, gt, ot = act[:, sl_i], act[:, sl_f], act[:, sl_c], act[:, sl_o]
-        tct = tanh_c[:, t]
-        c_prev = zero if t == 0 else cache.c[:, t - 1]
+        it, ft, gt, ot = cache.gates[t]
+        tct = tanh_c[t]
+        c_prev = zero if t == 0 else cache.c[t - 1]
         dh = dh_out[:, t] + dh_next
         do = dh * tct
         dc = dc_next + dh * ot * (1.0 - tct**2)
@@ -660,7 +696,7 @@ def whole_array_tanh_backward(dh_out, cache, params):
 
     flat_dz = dz.reshape(batch * steps, 4 * hdim)
     dkernel = cache.x.reshape(batch * steps, -1).T @ flat_dz
-    h_prev_all = np.concatenate([zero[:, None, :], cache.h[:, :-1]], axis=1)
+    h_prev_all = np.concatenate([zero[:, None, :], hs[:, :-1]], axis=1)
     drecurrent = h_prev_all.reshape(batch * steps, hdim).T @ flat_dz
     dbias = flat_dz.sum(axis=0)
     dx = (flat_dz @ params.kernel.T).reshape(cache.x.shape)
@@ -674,7 +710,7 @@ def random_layer(d, hdim, batch, steps, seed):
     rng = np.random.default_rng(seed)
     recurrent = rng.uniform(-1, 1, (hdim, 4 * hdim)) / math.sqrt(hdim)
     params = LstmLayerParams(rng.uniform(-1, 1, (d, 4 * hdim)), recurrent, rng.uniform(-1, 1, 4 * hdim))
-    cache = lstm_forward(3 * rng.standard_normal((batch, steps, d)), params)
+    _, cache = lstm_forward(3 * rng.standard_normal((batch, steps, d)), params)
     return params, cache, rng.standard_normal((batch, steps, hdim))
 
 
@@ -684,7 +720,15 @@ class TestLstmBackward:
 
     @pytest.mark.parametrize(
         "d,hdim,batch,steps",
-        [(d, h, b, 9) for d in (1, 3, 128) for h in (1, 3, 5, 64, 128) for b in (1, 3, 4)] + [(1, 128, 4, 4097)],
+        [(d, h, b, 9) for d in (1, 3, 128) for h in (1, 3, 5, 64, 128) for b in (1, 3, 4)]
+        + [(1, 128, 4, 4097)]
+        # the edges of lstm_backward's blocks of BACKWARD_CHUNK steps
+        + [
+            (d, 5, b, t)
+            for d in (1, 3)
+            for b in (1, 3, 4)
+            for t in (1, BACKWARD_CHUNK - 1, BACKWARD_CHUNK, BACKWARD_CHUNK + 1, 2 * BACKWARD_CHUNK + 1)
+        ],
     )
     def test_equals_whole_array_tanh_form_bitwise(self, d, hdim, batch, steps):
         params, cache, dh_out = random_layer(d, hdim, batch, steps, 1000 * d + 10 * hdim + batch)
