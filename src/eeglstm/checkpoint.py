@@ -38,9 +38,8 @@ def save_checkpoint(path, model: Model, standardized: bool = False, provenance: 
             for name, arr in model.blocks(model.params).items()
         },
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    # json.dumps, unlike json.dump, runs the C encoder: about half the time for the same text.
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="ascii", newline="")
 
 
 # The types json.load gives JSON numbers. Checks compare exact types, because

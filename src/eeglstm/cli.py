@@ -18,7 +18,6 @@ from . import data as datamod
 from . import gradcheck as gc
 from . import harness
 from .errors import EegLstmError
-from .layers import Model, ModelConfig
 from .metrics import DECISION_THRESHOLD
 from .optim import TrainConfig
 
@@ -116,35 +115,10 @@ def cmd_train(args, parser) -> int:
         },
     )
     result = harness.run_experiment(dataset, args.model, args.folds, args.seed, tcfg, jobs=args.jobs)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = harness.write_results_csv(out / "results.csv", [result])
-    harness.write_curves_csv(out / "curves.csv", result.curves)
-    harness.write_experiment_json(out / "result.json", [result])
-
-    best = max(result.folds, key=lambda f: (f.best_val_accuracy or 0.0, -f.fold_index))
-    model = _model_from_fold(result, best)
-    ckpt.save_checkpoint(
-        out / "checkpoint.json",
-        model,
-        standardized=dataset.standardized,
-        provenance={
-            "seed": args.seed,
-            "fold_index": best.fold_index,
-            "epoch": best.best_epoch,
-            "val_accuracy": best.best_val_accuracy,
-        },
-    )
+    table, paths = harness.write_run(args.out, [result])
     print(table, end="")
-    print(f"wrote {out / 'results.csv'}, {out / 'curves.csv'}, {out / 'result.json'}, {out / 'checkpoint.json'}")
+    print(f"wrote {', '.join(map(str, paths))}")
     return 0
-
-
-def _model_from_fold(result, fold):
-    model = Model(ModelConfig(variant=result.variant, seq_len=result.seq_len))
-    model.params[...] = fold.best_params
-    return model
 
 
 def cmd_evaluate(args, parser) -> int:
@@ -200,14 +174,9 @@ def cmd_reproduce(args, parser) -> int:
         standardize=args.standardize,
         jobs=args.jobs,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = harness.write_results_csv(out / "results.csv", results)
-    for result in results:
-        harness.write_curves_csv(out / f"curves_{result.pair[0]}_{result.pair[1]}.csv", result.curves)
-    harness.write_experiment_json(out / "results.json", results)
+    table, _ = harness.write_run(args.out, results)
     print(table, end="")
-    print(f"wrote results under {out}")
+    print(f"wrote results under {Path(args.out)}")
     return 0
 
 
@@ -319,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     ev = subs.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
-    ev.add_argument("--checkpoint", required=True, help="checkpoint.json to load")
+    ev.add_argument("--checkpoint", required=True, help="checkpoint file to load (train writes one)")
     ev.add_argument("--model", type=int, choices=(1, 2), help="assert the checkpoint's variant")
     ev.add_argument("--threshold", type=_finite_float, default=DECISION_THRESHOLD)
     ev.add_argument("--out", help="directory for metrics.json (optional)")

@@ -241,16 +241,17 @@ def gen_synthetic(spec: SynthSpec, seq_len: int, seed: int) -> PairDataset:
         raise MemoryError(f"seq_len {seq_len}: {exc}") from None
     rng = np.random.default_rng(int(seed))
     pair = ("syn0", "syn1")
-    rows = []
-    for freq, name in zip((spec.f0, spec.f1), pair):
-        base = spec.amp * np.sin(2.0 * np.pi * freq * t)
-        for i in range(spec.n):
-            with np.errstate(over="ignore"):
-                values = base + rng.standard_normal(seq_len) * spec.noise
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name}-{i:03d}: generated values are not finite for {spec}")
-            rows.append(values)
-    return PairDataset(pair=pair, samples=np.stack(rows))
+    base = spec.amp * np.sin(2.0 * np.pi * np.array([[spec.f0], [spec.f1]]) * t)
+    # One draw, in the order of one draw per row: a seed gives the corpus it always gave.
+    samples = rng.standard_normal((2, spec.n, seq_len))
+    with np.errstate(over="ignore"):
+        samples *= spec.noise  # in place: the corpus is the only (2n, T) array held
+        samples += base[:, None]
+    samples = samples.reshape(2 * spec.n, seq_len)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{pair[bad[0] // spec.n]}-{bad[0] % spec.n:03d}: generated values are not finite for {spec}")
+    return PairDataset(pair=pair, samples=samples)
 
 
 def standardize_dataset(ds: PairDataset) -> PairDataset:
@@ -275,6 +276,6 @@ def export_bonn_format(ds: PairDataset, out_dir, set_names):
         target.mkdir(parents=True, exist_ok=True)
         for i, row in enumerate(rows, start=1):
             lines = "\n".join(str(int(round(float(v)))) for v in row)
-            (target / f"{name}{i:03d}.txt").write_text(lines + "\n", encoding="ascii")
+            (target / f"{name}{i:03d}.txt").write_text(lines + "\n", encoding="ascii", newline="")
         dirs.append(target)
     return tuple(dirs)

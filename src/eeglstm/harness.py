@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import checkpoint, metrics
 from .data import BONN_SEQ_LEN, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
 from .errors import EegLstmError
 from .layers import Model, ModelConfig, init_params
@@ -287,6 +287,10 @@ def results_row(result: ExperimentResult):
     return _format_row("/".join(result.pair), str(result.variant), result.aggregate)
 
 
+def _csv_text(rows) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def write_results_csv(path, results) -> str:
     """Write results.csv and return its text: the header, one row per pair
     and, with more than one pair, an `average` row of column-wise means over
@@ -295,22 +299,20 @@ def write_results_csv(path, results) -> str:
     if len(results) > 1:
         means = {key: _mean_defined([r.aggregate[key] for r in results])[0] for key in AGGREGATE_KEYS}
         rows.append(_format_row("average", "", means))
-    text = "".join(",".join(row) + "\n" for row in rows)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(text)
+    text = _csv_text(rows)
+    Path(path).write_text(text, encoding="ascii", newline="")
     return text
 
 
 def write_curves_csv(path, curves_by_fold) -> None:
     """CSV of per-epoch training curves, one block per fold."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CURVES_HEADER)
-        for fold_index, curves in enumerate(curves_by_fold):
-            for rec in curves:
-                writer.writerow(
-                    [fold_index, rec.epoch, repr(rec.train_loss), repr(rec.val_loss), repr(rec.val_accuracy)]
-                )
+    rows = [CURVES_HEADER]
+    for fold_index, curves in enumerate(curves_by_fold):
+        rows += [
+            (str(fold_index), str(rec.epoch), repr(rec.train_loss), repr(rec.val_loss), repr(rec.val_accuracy))
+            for rec in curves
+        ]
+    Path(path).write_text(_csv_text(rows), encoding="ascii", newline="")
 
 
 def experiment_to_dict(result: ExperimentResult) -> dict:
@@ -337,14 +339,43 @@ def experiment_to_dict(result: ExperimentResult) -> dict:
     }
 
 
-def write_experiment_json(path, results) -> None:
-    """result.json for one pair, results.json (a list) for several."""
-    payload = [experiment_to_dict(r) for r in results]
-    write_json(path, payload[0] if len(payload) == 1 else payload)
-
-
 def write_json(path, payload) -> None:
     """Every JSON artifact but the checkpoint: 2-space indent, one trailing newline."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii", newline="")
+
+
+def write_run(out, results):
+    """Write a run's artifacts into directory `out`, creating it, and return
+    (results.csv's text, the written paths in write order).
+
+    Every run writes results.csv. One pair (train) adds curves.csv,
+    result.json and checkpoint.json, which holds the fold with the highest
+    best validation accuracy (ties keep the lowest fold index). A grid
+    (reproduce) adds curves_X_Y.csv per pair and results.json.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / "results.csv"]
+    table = write_results_csv(paths[0], results)
+    if len(results) > 1:
+        for result in results:
+            paths.append(out / f"curves_{result.pair[0]}_{result.pair[1]}.csv")
+            write_curves_csv(paths[-1], result.curves)
+        paths.append(out / "results.json")
+        write_json(paths[-1], [experiment_to_dict(r) for r in results])
+        return table, paths
+    (result,) = results
+    paths += [out / "curves.csv", out / "result.json", out / "checkpoint.json"]
+    write_curves_csv(paths[1], result.curves)
+    write_json(paths[2], experiment_to_dict(result))
+    best = max(result.folds, key=lambda f: (f.best_val_accuracy or 0.0, -f.fold_index))
+    model = Model(ModelConfig(variant=result.variant, seq_len=result.seq_len))
+    model.params[...] = best.best_params
+    provenance = {
+        "seed": result.seed,
+        "fold_index": best.fold_index,
+        "epoch": best.best_epoch,
+        "val_accuracy": best.best_val_accuracy,
+    }
+    checkpoint.save_checkpoint(paths[3], model, standardized=result.standardized, provenance=provenance)
+    return table, paths

@@ -505,11 +505,9 @@ class Model:
         n = len(x)
         if n == 1:
             return self.forward(x)[0]
-        starts = list(range(0, n, SCORE_CHUNK))
-        if n > SCORE_CHUNK and n % SCORE_CHUNK == 1:
-            starts.pop()
+        starts = range(0, n - 1, SCORE_CHUNK)
         probs = np.empty(n)
-        for lo, hi in zip(starts, starts[1:] + [n]):
+        for lo, hi in zip(starts, [*starts[1:], n]):
             rows = hi - lo
             state = []
             for layer in self.lstm_layers:

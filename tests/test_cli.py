@@ -188,9 +188,10 @@ class TestTrain:
         out = tmp_path / "out"
         code = run(SMALL_TRAIN + ["--out", str(out)])
         assert code == 0
-        for name in ("results.csv", "curves.csv", "result.json", "checkpoint.json"):
-            assert (out / name).exists(), name
+        names = ["results.csv", "curves.csv", "result.json", "checkpoint.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
         printed = capsys.readouterr().out
+        assert printed.endswith(f"wrote {', '.join(str(out / name) for name in names)}\n")
         assert "== train ==" in printed
         assert "learning_rate = 0.001" in printed  # effective config echoed
         header = (out / "results.csv").read_text().splitlines()[0]
@@ -306,5 +307,5 @@ class TestReproduce:
         assert len(rows) == 1 + 6 + 1  # header, six pairs, average
         assert rows[-1].startswith("average,")
         assert (out / "results.csv").read_text() in capsys.readouterr().out
-        assert (out / "curves_A_E.csv").exists()
-        assert (out / "results.json").exists()
+        curves = [f"curves_{x}_{y}.csv" for x, y, _ in harness.TABLE_PAIRS]
+        assert sorted(p.name for p in out.iterdir()) == sorted(["results.csv", "results.json", *curves])

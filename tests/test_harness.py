@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eeglstm import harness
+from eeglstm.checkpoint import load_checkpoint
 from eeglstm.data import FoldSplit, SynthSpec, gen_synthetic, kfold_split
 from eeglstm.errors import EegLstmError, ShapeError
 from eeglstm.harness import (
@@ -21,8 +22,8 @@ from eeglstm.harness import (
     run_experiment,
     train_model,
     write_curves_csv,
-    write_experiment_json,
     write_results_csv,
+    write_run,
 )
 from eeglstm.layers import Model, ModelConfig, init_params
 from eeglstm.metrics import confusion_report
@@ -269,9 +270,8 @@ class TestArtifacts:
         float(rows[1][2]), float(rows[1][3]), float(rows[1][4])
 
     def test_json_sidecar_contents(self, result, tmp_path):
-        path = tmp_path / "result.json"
-        write_experiment_json(path, [result])
-        doc = json.loads(path.read_text())
+        write_run(tmp_path, [result])
+        doc = json.loads((tmp_path / "result.json").read_text())
         assert doc["pair"] == "syn0/syn1"
         assert doc["model_variant"] == 1
         assert doc["train_config"]["batch_size"] == 4
@@ -279,6 +279,37 @@ class TestArtifacts:
         assert doc["standardized"] is False
         assert {"accuracy", "auc", "tp"} <= set(doc["per_fold"][0]["test"])
         assert len(doc["curves"]) == 2
+
+    def test_checkpoint_holds_the_best_fold(self, result, tmp_path):
+        # ties on validation accuracy keep the lowest fold index
+        for fold, acc in zip(result.folds, (0.5, 0.75)):
+            fold.best_val_accuracy = acc
+        table, paths = write_run(tmp_path / "run", [result])
+        assert [p.name for p in paths] == ["results.csv", "curves.csv", "result.json", "checkpoint.json"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(p.name for p in paths)
+        assert paths[0].read_text() == table
+        for text in (p.read_bytes() for p in paths):
+            assert b"\r" not in text and text.endswith(b"\n") and text.isascii()
+        model, meta = load_checkpoint(paths[3])
+        assert model.params.tobytes() == result.folds[1].best_params.tobytes()
+        assert meta == {
+            "standardized": False,
+            "provenance": {"seed": 1, "fold_index": 1, "epoch": result.folds[1].best_epoch, "val_accuracy": 0.75},
+        }
+        result.folds[1].best_val_accuracy = 0.5
+        write_run(tmp_path / "tie", [result])
+        model, meta = load_checkpoint(tmp_path / "tie" / "checkpoint.json")
+        assert model.params.tobytes() == result.folds[0].best_params.tobytes()
+        assert meta["provenance"]["fold_index"] == 0
+
+    def test_grid_writes_curves_per_pair_and_no_checkpoint(self, result, tmp_path):
+        other = replace(result, pair=("B", "E"))
+        table, paths = write_run(tmp_path, [result, other])
+        assert [p.name for p in paths] == ["results.csv", "curves_syn0_syn1.csv", "curves_B_E.csv", "results.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+        assert table.splitlines()[-1].startswith("average,")
+        doc = json.loads(paths[3].read_text())
+        assert [d["pair"] for d in doc] == ["syn0/syn1", "B/E"]
 
     def test_undefined_renders_as_na(self):
         fold = TestAggregation().make_fold(0, None, None)

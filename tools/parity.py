@@ -10,12 +10,12 @@ variants, each from the same seeds:
 
 - forward-backward B: the train-mode forward's probabilities (dropout on for
   model 2) and the flat gradient Model.backward writes, at batch B in
-  {1, 3, 4, 20};
+  {1, 2, 3, 4, 5, 20};
 - scores N: Model.scores of N rows, N in {8, 40, 41}.
 
 A case's fingerprint is the SHA-256 of its arrays' bytes. It reads only the
 Model API (init_params, forward, backward's grad, scores), so it holds across
-changes of internal layout. A tree takes about 20 s with one BLAS thread
+changes of internal layout. A tree takes about 23 s with one BLAS thread
 (2 vCPU Xeon) and up to 1.5 GB (model 2 at batch 20).
 
 Exit status: 0 and "parity: identical" when every case agrees; 1 when a case
@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 SEQ_LEN = 4097
-BATCHES = (1, 3, 4, 20)
+BATCHES = (1, 2, 3, 4, 5, 20)
 SCORE_ROWS = (8, 40, 41)
 
 
