@@ -114,6 +114,7 @@ def cmd_train(args, parser) -> int:
             **asdict(tcfg),
         },
     )
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before training, not after
     result = harness.run_experiment(dataset, args.model, args.folds, args.seed, tcfg, jobs=args.jobs)
     table, paths = harness.write_run(args.out, [result])
     print(table, end="")
@@ -165,6 +166,7 @@ def cmd_reproduce(args, parser) -> int:
             **asdict(tcfg),
         },
     )
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     results = harness.run_reproduction(
         args.data,
         args.folds,

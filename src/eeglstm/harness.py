@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, metrics
-from .data import BONN_SEQ_LEN, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
+from .data import BONN_SEQ_LEN, SET_IDS, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
 from .errors import EegLstmError
 from .layers import Model, ModelConfig, init_params
 from .optim import TrainConfig, adam_step, bce_loss
@@ -253,13 +253,11 @@ def run_reproduction(
     jobs: int = 1,
 ):
     """Run the full six-pair grid against an on-disk corpus, printing a line
-    as each pair starts and ends."""
-    loaded = {}
+    as each pair starts and ends. All five sets load first, so a bad corpus
+    fails before any training."""
+    loaded = {set_id: load_bonn_set(data_root, set_id, expected_len=seq_len) for set_id in SET_IDS}
     results = []
     for first, second, variant in TABLE_PAIRS:
-        for set_id in (first, second):
-            if set_id not in loaded:
-                loaded[set_id] = load_bonn_set(data_root, set_id, expected_len=seq_len)
         dataset = make_pair_dataset(loaded[first], loaded[second])
         if standardize:
             dataset = standardize_dataset(dataset)

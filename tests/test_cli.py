@@ -184,6 +184,17 @@ class TestDeadWorker:
 
 
 class TestTrain:
+    def test_out_that_is_a_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained although --out cannot be created")
+
+        monkeypatch.setattr(harness, "run_experiment", no_training)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(SMALL_TRAIN + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
     def test_synthetic_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(SMALL_TRAIN + ["--out", str(out)])
@@ -309,3 +320,18 @@ class TestReproduce:
         assert (out / "results.csv").read_text() in capsys.readouterr().out
         curves = [f"curves_{x}_{y}.csv" for x, y, _ in harness.TABLE_PAIRS]
         assert sorted(p.name for p in out.iterdir()) == sorted(["results.csv", "results.json", *curves])
+
+    def test_missing_set_fails_before_training(self, tmp_path, capsys):
+        # a corpus of A and E only: pair A/E could train, but B is missing
+        ds = gen_synthetic(SynthSpec(2, 9, 200, 10, 64.0, 100), 16, seed=0)
+        export_bonn_format(ds, tmp_path / "corpus", set_names=("A", "E"))
+        out = tmp_path / "rep"
+        code = run([
+            "reproduce", "--data", str(tmp_path / "corpus"), "--seq-len", "16",
+            "--folds", "1", "--epochs", "1", "--out", str(out),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no directory for set B") and captured.err.count("\n") == 1
+        assert "pair A/E" not in captured.out
+        assert not (out / "results.csv").exists()
