@@ -59,8 +59,9 @@ def load_checkpoint(path, expect_variant: int | None = None):
 
     Returns (model, meta) where meta holds the standardization flag (a JSON
     true or false) and the saved provenance. Raises CheckpointError on
-    unreadable files, version mismatch, and missing, malformed, non-finite or
-    mis-shaped fields (naming the field).
+    unreadable files, version mismatch, missing, malformed, non-finite or
+    mis-shaped fields, and parameter blocks the layout does not name (naming
+    the field or block).
     """
     path = Path(path)
     try:
@@ -117,6 +118,9 @@ def load_checkpoint(path, expect_variant: int | None = None):
         if not np.isfinite(data).all():
             raise CheckpointError(f"{name}: checkpoint holds non-finite values")
         blocks.append(data)
+    unknown = sorted(stored.keys() - {name for name, _ in layout(config)})
+    if unknown:
+        raise CheckpointError(f"{', '.join(unknown)}: checkpoint block not in the model {config.variant} layout")
     model = Model(config)
     model.params[...] = np.concatenate(blocks)
     standardized = _require(doc, "standardized")

@@ -172,27 +172,22 @@ def fold_train_seed(seed: int, fold_index: int) -> int:
 
 def _mean_defined(values):
     defined = [v for v in values if v is not None]
-    mean = sum(defined) / len(defined) if defined else None
-    return mean, len(values) - len(defined)
+    return sum(defined) / len(defined) if defined else None
 
 
 def aggregate_fold_metrics(folds) -> dict:
-    """Arithmetic means over folds; undefined cells are skipped and counted."""
-    series = {
-        "val_accuracy": [f.best_val_accuracy for f in folds],
-        "test_accuracy": [f.test_report.accuracy for f in folds],
-        "sensitivity": [f.test_report.sensitivity for f in folds],
-        "specificity": [f.test_report.specificity for f in folds],
-        "precision": [f.test_report.precision for f in folds],
-        "auc": [f.test_report.auc for f in folds],
-    }
-    agg = {}
-    undefined = {}
-    for key, values in series.items():
-        mean, n_undef = _mean_defined(values)
-        agg[key] = mean
-        if n_undef:
-            undefined[key] = n_undef
+    """Arithmetic means over folds; undefined cells are skipped and counted.
+    val_accuracy is each fold's best validation accuracy; the other keys are
+    test-report fields (test_accuracy is the report's accuracy)."""
+    agg, undefined = {}, {}
+    for key in AGGREGATE_KEYS:
+        values = [
+            f.best_val_accuracy if key == "val_accuracy" else getattr(f.test_report, key.removeprefix("test_"))
+            for f in folds
+        ]
+        agg[key] = _mean_defined(values)
+        if None in values:
+            undefined[key] = values.count(None)
     agg["undefined_counts"] = undefined
     return agg
 
@@ -295,7 +290,7 @@ def write_results_csv(path, results) -> str:
     pairs. Percentages to two decimals, AUC to four."""
     rows = [RESULTS_HEADER, *map(results_row, results)]
     if len(results) > 1:
-        means = {key: _mean_defined([r.aggregate[key] for r in results])[0] for key in AGGREGATE_KEYS}
+        means = {key: _mean_defined([r.aggregate[key] for r in results]) for key in AGGREGATE_KEYS}
         rows.append(_format_row("average", "", means))
     text = _csv_text(rows)
     Path(path).write_text(text, encoding="ascii", newline="")

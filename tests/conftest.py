@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -5,6 +6,12 @@ from eeglstm import layers
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+# Whether numpy multiplies with OpenBLAS, whose rounding some tests pin bit for bit.
+try:
+    OPENBLAS = "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+except TypeError:  # numpy < 1.25 cannot report its BLAS as data
+    OPENBLAS = False
 
 
 @pytest.fixture

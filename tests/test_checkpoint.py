@@ -147,6 +147,8 @@ def test_missing_provenance(model, tmp_path):
         ("model", "dropout_prob", 0.2, "dropout_prob"),
         (None, "model", {"variant": 1, "hidden_sizes": [6], "dropout_prob": 0.35, "input_dim": 1, "seq_len": 16},
          "dropout_prob"),
+        # a block the layout does not name is not ignored
+        ("params", "lstm3.kernel", {"shape": [1, 16], "data": [0.0] * 16}, "lstm3.kernel"),
     ],
 )
 def test_malformed_field_is_checkpoint_error(model, tmp_path, section, key, value, match):

@@ -6,8 +6,10 @@ from dataclasses import fields
 import pytest
 
 from eeglstm import harness
+from eeglstm.checkpoint import save_checkpoint
 from eeglstm.cli import main
 from eeglstm.data import SynthSpec, gen_synthetic, export_bonn_format
+from eeglstm.layers import ModelConfig, init_params
 from eeglstm.metrics import MetricsReport
 
 
@@ -22,6 +24,12 @@ def _kill_own_process(*args):
     """A fold worker that dies as an out-of-memory kill would end it."""
     assert os.getpid() != _TEST_PROCESS, "train_model ran in the test process, not in a worker"
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def model1_checkpoint(path):
+    """An untrained model-1 checkpoint at T=32, written without training."""
+    save_checkpoint(path, init_params(ModelConfig(variant=1, seq_len=32, hidden_sizes=(4,)), 0))
+    return path
 
 
 SMALL_TRAIN = [
@@ -100,6 +108,8 @@ class TestUsageErrors:
             (["reproduce", "--data", "corpus", "--model", "2"], "--model"),
             # evaluate reads the recording length from the checkpoint
             (["evaluate", "--checkpoint", "ckpt.json", "--synthetic", "--seq-len", "20"], "--seq-len"),
+            # the grid draws from one fixed seed
+            (["gradcheck", "--seed", "1"], "--seed"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
@@ -130,7 +140,7 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     def test_evaluate_pair_with_synthetic_exits_2_naming_it(self, tmp_path, capsys):
-        # evaluate loads the checkpoint before it resolves the data source
+        # a readable checkpoint, so only the flags can fail
         out = tmp_path / "out"
         assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
         capsys.readouterr()
@@ -140,6 +150,21 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "--pair" in captured.err
         assert "== evaluate ==" not in captured.out
+
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [
+            (["--data", "corpus", "--synthetic"], "--data"),
+            (["--data", "corpus"], "--pair"),
+            (["--synthetic", "warble=3"], "--synthetic"),
+        ],
+    )
+    def test_evaluate_checks_flags_before_the_checkpoint(self, flags, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--checkpoint", str(tmp_path / "missing.json"), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "checkpoint" not in err
 
 
 class TestDataErrors:
@@ -237,6 +262,27 @@ class TestTrain:
         assert text == json.dumps(doc, indent=2) + "\n"
         assert text.startswith('{\n  "') and not text.endswith("\n\n")
 
+    def test_evaluate_out_that_is_a_file_fails_before_scoring(self, tmp_path, monkeypatch, capsys):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored although --out cannot be created")
+
+        monkeypatch.setattr(harness, "evaluate", no_scoring)
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = ["evaluate", "--checkpoint", str(model1_checkpoint(tmp_path / "ckpt.json")), "--synthetic", "n=10"]
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
+    def test_evaluate_rejects_a_block_the_layout_does_not_name(self, tmp_path, capsys):
+        path = model1_checkpoint(tmp_path / "ckpt.json")
+        doc = json.loads(path.read_text())
+        doc["params"]["lstm2.kernel"] = {"shape": [4, 16], "data": [0.0] * 64}
+        path.write_text(json.dumps(doc))
+        assert run(["evaluate", "--checkpoint", str(path), "--synthetic", "n=10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lstm2.kernel") and err.count("\n") == 1
+
     def test_evaluate_variant_check(self, tmp_path):
         out = tmp_path / "out"
         assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
@@ -284,6 +330,7 @@ class TestGradcheckCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "gradcheck: ok" in out
+        assert "  seed = 0\n" in out
         assert "lstm1.recurrent" in out
 
     def test_sized_run_contract(self, capsys):

@@ -10,15 +10,12 @@ within 1e-10 of its pin.
 import numpy as np
 import pytest
 
+from conftest import OPENBLAS
 from eeglstm.data import SynthSpec, gen_synthetic, kfold_split
 from eeglstm.harness import train_model
 from eeglstm.layers import Model, ModelConfig
 from eeglstm.optim import TrainConfig
 
-try:
-    OPENBLAS = "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-except TypeError:  # numpy < 1.25 cannot report its BLAS as data
-    OPENBLAS = False
 GOLDEN_REL = 0.0 if OPENBLAS else 1e-10
 
 # hidden sizes, dropout -> per-epoch (train loss, val loss, val accuracy),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import OPENBLAS
 from eeglstm import layers
 from eeglstm.errors import ShapeError
 from eeglstm.layers import (
@@ -568,10 +569,6 @@ class TestModel:
 
 # Bitwise equality of chunked and whole-batch products rests on how OpenBLAS
 # groups rows; another BLAS may round a chunk's rows differently within an ulp.
-try:
-    OPENBLAS = "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-except TypeError:  # numpy < 1.25 cannot report its BLAS as data
-    OPENBLAS = False
 openblas_only = pytest.mark.skipif(not OPENBLAS, reason="bitwise chunk parity is an OpenBLAS property")
 
 

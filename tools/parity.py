@@ -65,6 +65,7 @@ COMMANDS = {
     "gen-synth-bd": "gen-synth --spec amp=300,noise=40 --seq-len 32 --seed 12 --sets B,D --out corpus5",
     "gen-synth-cd": "gen-synth --spec amp=300,noise=40 --seq-len 32 --seed 13 --sets C,D --out corpus5",
     "reproduce": "reproduce --data corpus5 --standardize --seq-len 32 --folds 2 --epochs 2 --seed 7 --out reproduce",
+    "gradcheck": "gradcheck --hidden 4 --steps 5",
 }
 
 
