@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import os
+import pickle
+import selectors
+import subprocess
+import sys
+import traceback
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -13,7 +18,7 @@ import numpy as np
 from . import checkpoint, metrics
 from .data import BONN_SEQ_LEN, SET_IDS, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
 from .errors import EegLstmError
-from .layers import Model, ModelConfig, init_params
+from .layers import Model, ModelConfig, init_params, score_chunks
 from .optim import TrainConfig, adam_step, bce_loss
 
 # The six evaluated set pairs and the model variant used for each.
@@ -75,16 +80,119 @@ class ExperimentResult:
         return [f.curves for f in self.folds]
 
 
+# The thread-count variables of OpenBLAS, OpenMP and MKL, each set to 1 in every worker.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# A worker's program. It ignores SIGINT (its parent ends it), takes the
+# parent's sys.path from its task pipe so that it imports the same modules,
+# then serves the rest of the pipe.
+_WORKER_MAIN = f"""\
+import signal
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+import pickle, sys
+with open(int(sys.argv[1]), "rb") as tasks, open(int(sys.argv[2]), "wb") as replies:
+    sys.path[:] = pickle.load(tasks)
+    from {__name__} import _serve
+    _serve(tasks, replies)
+"""
+
+
+def _serve(tasks, replies) -> None:
+    """A worker's work: read (fn, argument tuples), run fn on each in order,
+    and send back (True, results), or (False, (the first exception, its
+    traceback's text))."""
+    fn, arg_tuples = pickle.load(tasks)
+    try:
+        reply = (True, [fn(*args) for args in arg_tuples])
+    except Exception as exc:
+        reply = (False, (exc, traceback.format_exc()))
+    pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
+    """[fn(*args) for args in arg_tuples], computed in `workers` worker processes.
+
+    Each worker is a fresh interpreter (`sys.executable`, not a fork) with
+    one BLAS thread: BLAS_THREAD_VARS are 1 in its environment, and the
+    parent's os.environ is left as it is. Worker w gets arg_tuples[w::workers]
+    and the parent's sys.path. fn, its arguments and its results travel as
+    pickles over two pipes per worker that nothing else writes to, so fn must
+    be picklable by reference (a module-level function or a bound method of
+    a picklable object). A worker's exception is raised here with its type
+    and message. A worker that dies without replying (an out-of-memory kill,
+    say) raises one EegLstmError line: `what`, which names the worker, then
+    "died" and the cause. Every worker has exited, and was killed if it was
+    still running, before this returns or raises.
+    """
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+    results, procs = [None] * len(arg_tuples), []
+
+    def died(w):
+        code = procs[w].wait()
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        return EegLstmError(f"{what} died ({how}; an out-of-memory kill is the usual cause)")
+
+    with ExitStack() as pipes, selectors.DefaultSelector() as pending:
+        try:
+            sends = []
+            for w in range(workers):
+                task_r, task_w = os.pipe()
+                reply_r, reply_w = os.pipe()
+                sends.append(pipes.enter_context(open(task_w, "wb")))
+                pending.register(pipes.enter_context(open(reply_r, "rb")), selectors.EVENT_READ, w)
+                try:
+                    cmd = [sys.executable, "-c", _WORKER_MAIN, str(task_r), str(reply_w)]
+                    procs.append(subprocess.Popen(cmd, stdin=subprocess.DEVNULL, env=env, pass_fds=(task_r, reply_w)))
+                finally:
+                    os.close(task_r)
+                    os.close(reply_w)
+            for w, send in enumerate(sends):  # every worker starts up while the first one is sent its tasks
+                try:
+                    pickle.dump(sys.path, send)
+                    pickle.dump((fn, arg_tuples[w::workers]), send, protocol=pickle.HIGHEST_PROTOCOL)
+                    send.close()
+                except BrokenPipeError:
+                    raise died(w) from None
+            while pending.get_map():
+                for key, _ in pending.select():
+                    w = key.data
+                    pending.unregister(key.fileobj)
+                    try:
+                        ok, value = pickle.load(key.fileobj)
+                    except (EOFError, pickle.UnpicklingError):
+                        raise died(w) from None
+                    if not ok:
+                        exc, text = value
+                        raise exc from RuntimeError(f"in a worker process:\n{text}")
+                    results[w::workers] = value
+        finally:
+            for proc in procs:
+                if pending.get_map():  # a reply is missing: end every worker still running
+                    proc.kill()
+                proc.wait()
+    return results
+
+
 def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISION_THRESHOLD):
     """Score a dataset in eval mode and derive metrics at the threshold.
 
     Model.scores keeps no forward cache: it steps every layer through chunks
-    of SCORE_CHUNK samples, so memory grows with neither the sequence length
-    nor the number of recordings.
-    Returns (MetricsReport, raw scores). Model.scores raises ShapeError if
-    the samples' length is not the model's seq_len.
+    of SCORE_CHUNK samples (layers.score_chunks), so memory grows with
+    neither the sequence length nor the number of recordings. With more than
+    one chunk and more than one CPU in this process's affinity mask (taskset
+    limits it), the chunks are dealt to min(CPUs, chunks) map_in_workers
+    workers, each with one BLAS thread, and their scores joined in order.
+    Each chunk goes through Model.scores alone, as one chunk, so the scores
+    are the serial path's bit for bit. Returns (MetricsReport, raw scores).
+    Model.scores raises ShapeError if the samples' length is not the model's
+    seq_len.
     """
-    scores = model.scores(data.samples)
+    chunks = [(data.samples[lo:hi],) for lo, hi in score_chunks(len(data.samples))]
+    workers = min(len(os.sched_getaffinity(0)), len(chunks))
+    if workers > 1:
+        scores = np.concatenate(map_in_workers(model.scores, chunks, workers, "a scoring worker"))
+    else:
+        scores = model.scores(data.samples)
     return metrics.confusion_report(scores, data.labels(), threshold), scores
 
 
@@ -203,28 +311,19 @@ def run_experiment(
     """Train and evaluate one pair over k independent stratified folds.
 
     Every fold gets its own split and its own derived training seed; fold
-    execution is order-independent, so jobs > 1 runs folds in parallel
-    processes with identical results, starting at most one worker per fold.
+    execution is order-independent, so jobs > 1 runs folds in min(jobs, k)
+    map_in_workers workers, each a fresh interpreter with one BLAS thread,
+    with identical results. A fold's exception reaches the caller with its
+    type and message, as at jobs = 1.
     """
     splits = kfold_split(data.n_per_class, k, seed)
     config = ModelConfig(variant=variant, seq_len=data.seq_len)
-    args = (
-        [config] * k,
-        [replace(tcfg, seed=fold_train_seed(seed, s.fold_index)) for s in splits],
-        splits,
-        [data] * k,
-    )
+    tasks = [(config, replace(tcfg, seed=fold_train_seed(seed, s.fold_index)), s, data) for s in splits]
     workers = min(jobs, k)
     if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                folds = list(pool.map(train_model, *args))
-        except BrokenProcessPool:
-            raise EegLstmError(
-                f"pair {'/'.join(data.pair)}: a fold worker died (an out-of-memory kill is the usual cause)"
-            ) from None
+        folds = map_in_workers(train_model, tasks, workers, f"pair {'/'.join(data.pair)}: a fold worker")
     else:
-        folds = list(map(train_model, *args))
+        folds = [train_model(*task) for task in tasks]
     return ExperimentResult(
         pair=data.pair,
         variant=variant,

@@ -40,11 +40,12 @@ from .errors import ShapeError
 # The paper's architectures: (hidden_sizes, dropout_prob) of each variant.
 VARIANT_DEFAULTS = {1: ((64,), 0.0), 2: ((128, 64), 0.35)}
 
-# Rows per Model.scores chunk. A multiple of 4: OpenBLAS multiplies rows in
-# groups of 4, so only then does each row round as it would in one big batch.
-# A step's numpy calls cost about the same at any row count: with 40 rows,
-# 200 recordings score about 1.2x faster than with 20 (2 vCPU Xeon, one BLAS
-# thread, models 1 and 2).
+# Rows per Model.scores chunk; score_chunks sets the bounds, and
+# harness.evaluate deals the same chunks to its workers. A multiple of 4:
+# OpenBLAS multiplies rows in groups of 4, so only then does each row round
+# as it would in one big batch. A step's numpy calls cost about the same at
+# any row count: with 40 rows, 200 recordings score about 1.2x faster than
+# with 20 (2 vCPU Xeon, one BLAS thread, models 1 and 2).
 SCORE_CHUNK = 40
 
 # Time steps per block of lstm_backward's bulk precomputation. A block holds
@@ -52,6 +53,15 @@ SCORE_CHUNK = 40
 # hidden-floats per sample-step to the backward's peak. 16 to 32 steps were
 # fastest at H=64 and H=128 (2 vCPU Xeon, one BLAS thread).
 BACKWARD_CHUNK = 32
+
+
+def score_chunks(n: int) -> list:
+    """(lo, hi) row bounds of the chunks Model.scores steps n >= 2 rows
+    through: SCORE_CHUNK rows each and the rest in the last, except that a
+    1-row tail joins the previous chunk. Model.scores of any one chunk's rows
+    is one chunk, so scoring the chunks apart gives the same bits."""
+    starts = range(0, n - 1, SCORE_CHUNK)
+    return list(zip(starts, [*starts[1:], n]))
 
 
 def sigmoid(x, out=None) -> np.ndarray:
@@ -505,9 +515,8 @@ class Model:
         n = len(x)
         if n == 1:
             return self.forward(x)[0]
-        starts = range(0, n - 1, SCORE_CHUNK)
         probs = np.empty(n)
-        for lo, hi in zip(starts, [*starts[1:], n]):
+        for lo, hi in score_chunks(n):
             rows = hi - lo
             state = []
             for layer in self.lstm_layers:

@@ -1,15 +1,16 @@
 import json
 import os
 import signal
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from eeglstm import harness
+from eeglstm import checkpoint, harness
 from eeglstm.checkpoint import save_checkpoint
 from eeglstm.cli import main
 from eeglstm.data import SynthSpec, gen_synthetic, export_bonn_format
-from eeglstm.layers import ModelConfig, init_params
+from eeglstm.layers import Model, ModelConfig, init_params
 from eeglstm.metrics import MetricsReport
 
 
@@ -17,13 +18,34 @@ def run(argv):
     return main(argv)
 
 
-_TEST_PROCESS = os.getpid()
+# Workers are fresh interpreters that import this module anew, so the test
+# process's id reaches them through the environment (see in_test_process).
+TEST_PROCESS_VAR = "EEGLSTM_TEST_PROCESS"
+_train_model = harness.train_model
+
+
+@pytest.fixture
+def in_test_process(monkeypatch):
+    """Publish the test process's id to the workers it starts."""
+    monkeypatch.setenv(TEST_PROCESS_VAR, str(os.getpid()))
 
 
 def _kill_own_process(*args):
-    """A fold worker that dies as an out-of-memory kill would end it."""
-    assert os.getpid() != _TEST_PROCESS, "train_model ran in the test process, not in a worker"
+    """A worker that dies as an out-of-memory kill would end it."""
+    assert os.getpid() != int(os.environ[TEST_PROCESS_VAR]), "ran in the test process, not in a worker"
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _ModelThatDiesScoring(Model):
+    def scores(self, x):
+        _kill_own_process()
+
+
+def _fold_one_diverges(config, tcfg, split, data):
+    """train_model, with every recording NaN in fold 1, which then stops on a non-finite loss."""
+    if split.fold_index == 1:
+        data = replace(data, samples=np.full_like(data.samples, np.nan))
+    return _train_model(config, tcfg, split, data)
 
 
 def model1_checkpoint(path):
@@ -198,14 +220,39 @@ class TestAllocationErrors:
 
 
 class TestDeadWorker:
-    def test_dead_fold_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys):
-        # forked workers inherit the patched module attribute
+    def test_dead_fold_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys, in_test_process):
+        # run_experiment sends the patched module attribute to its workers by name
         monkeypatch.setattr(harness, "train_model", _kill_own_process)
         argv = ["train", "--synthetic", "default", "--seq-len", "16", "--folds", "2", "--jobs", "2"]
         assert run(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: pair syn0/syn1: a fold worker died") and err.count("\n") == 1
         assert "out-of-memory" in err and "Traceback" not in err
+
+    def test_dead_scoring_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys, in_test_process):
+        real = checkpoint.load_checkpoint
+
+        def load(*args, **kwargs):
+            model, meta = real(*args, **kwargs)
+            model.__class__ = _ModelThatDiesScoring  # pickled by reference into each worker
+            return model, meta
+
+        monkeypatch.setattr(checkpoint, "load_checkpoint", load)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        argv = ["evaluate", "--checkpoint", str(model1_checkpoint(tmp_path / "ckpt.json")), "--synthetic", "n=50"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a scoring worker died") and err.count("\n") == 1
+        assert "out-of-memory" in err and "Traceback" not in err
+
+    def test_fold_error_in_a_worker_is_the_line_of_jobs_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "train_model", _fold_one_diverges)
+        argv = ["train", "--synthetic", "default", "--seq-len", "16", "--folds", "2"]
+        errs = []
+        for jobs in ("1", "2"):
+            assert run(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == "error: fold 1: non-finite training loss at epoch 1, batch 1\n"
 
 
 class TestTrain:

@@ -1,7 +1,11 @@
 import csv
 import json
+import os
+import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +40,45 @@ def tiny_dataset(n_per_class=10, seq_len=32, seed=4):
 
 def tiny_config(seq_len=32, hidden=8):
     return ModelConfig(variant=1, seq_len=seq_len, hidden_sizes=(hidden,))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """harness.evaluate sees two CPUs in its affinity mask, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def worker_counts(monkeypatch):
+    """The worker count of every map_in_workers call, which still runs."""
+    counts, real = [], harness.map_in_workers
+
+    def counted(fn, arg_tuples, workers, what):
+        counts.append(workers)
+        return real(fn, arg_tuples, workers, what)
+
+    monkeypatch.setattr(harness, "map_in_workers", counted)
+    return counts
+
+
+def _record_pid_then(action, directory):
+    """A worker task: publish this process's id as directory/action, then
+    sleep (action "sleep") or, once the sleeper has published, raise."""
+    tmp = Path(directory, f"{action}.tmp")
+    tmp.write_text(str(os.getpid()))
+    tmp.rename(Path(directory, action))
+    if action == "sleep":
+        time.sleep(60)
+    deadline = time.monotonic() + 30
+    while not Path(directory, "sleep").exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    raise ValueError(f"{action} worker raised")
+
+
+def assert_exited(pid):
+    """The process is gone and reaped: not even a zombie is left to signal."""
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 class TestTrainModel:
@@ -138,11 +181,52 @@ class TestEvaluate:
         assert report == expected
         assert scores.shape == (20,)
 
-    def test_seq_len_mismatch(self):
-        data = tiny_dataset(seq_len=16)
+    @pytest.mark.parametrize("n_per_class", [10, 50])  # one chunk in this process; three in two workers
+    def test_seq_len_mismatch(self, n_per_class, two_cpus):
+        data = tiny_dataset(n_per_class=n_per_class, seq_len=16)
         model = init_params(tiny_config(seq_len=32), 0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="sequence length 16 != configured 32"):
             evaluate(model, data)
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_workers_give_the_serial_scores_bit_for_bit(self, variant, two_cpus, worker_counts):
+        config = ModelConfig(variant=variant, seq_len=16, hidden_sizes=(8, 4)[:variant])
+        model = init_params(config, variant)
+        rng = np.random.default_rng(variant)
+        sizes = (1, 2, 40, 41, 80, 81, 121, 200)
+        for n in sizes:
+            x = rng.standard_normal((n, 16))
+            _, scores = evaluate(model, SimpleNamespace(samples=x, labels=lambda: np.arange(n) % 2))
+            assert scores.tobytes() == model.scores(x).tobytes(), n
+        # 1 to 41 rows are one chunk or less, scored here; 80 and more are two to five chunks
+        assert worker_counts == [2, 2, 2, 2]
+
+
+class TestMapInWorkers:
+    def test_workers_run_one_blas_thread_and_leave_the_environment(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        seen = harness.map_in_workers(os.getenv, [(var,) for var in harness.BLAS_THREAD_VARS], 2, "a test worker")
+        assert seen == ["1", "1", "1"]
+        assert dict(os.environ) == before
+
+    def test_results_keep_task_order(self):
+        assert harness.map_in_workers(divmod, [(n, 3) for n in range(7)], 3, "a test worker") == [divmod(n, 3) for n in range(7)]
+
+    def test_no_worker_outlives_a_return(self):
+        pids = harness.map_in_workers(os.getpid, [(), ()], 2, "a test worker")
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        for pid in pids:
+            assert_exited(pid)
+
+    def test_no_worker_outlives_a_raise(self, tmp_path):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="^raise worker raised$"):
+            harness.map_in_workers(_record_pid_then, [("raise", tmp_path), ("sleep", tmp_path)], 2, "a test worker")
+        assert time.monotonic() - start < 30  # the sleeping worker was killed, not waited for
+        for action in ("raise", "sleep"):
+            assert_exited(int((tmp_path / action).read_text()))
 
 
 class TestAggregation:
@@ -207,22 +291,12 @@ class TestRunExperiment:
     def test_jobs_start_at_most_one_worker_per_fold(self, monkeypatch):
         started = []
 
-        class RecordingPool:
+        def recording_map(fn, arg_tuples, workers, what):
             """Runs tasks in this process and records the worker count asked for."""
+            started.append(workers)
+            return [fn(*args) for args in arg_tuples]
 
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "map_in_workers", recording_map)
         tcfg = TrainConfig(epochs=1, seed=0)
         run_experiment(tiny_dataset(), 1, k=2, seed=5, tcfg=tcfg, jobs=100000)
         run_experiment(tiny_dataset(), 1, k=1, seed=5, tcfg=tcfg, jobs=100000)

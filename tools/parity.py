@@ -2,23 +2,29 @@
 bit at the paper's sequence length, and every file and log of the standard
 CLI commands byte for byte.
 
-Usage: python3 tools/parity.py TREE_A TREE_B
+Usage: python3 tools/parity.py [--blas-threads N] TREE_A TREE_B
 
 Each tree is a checkout holding src/eeglstm. The script runs itself once per
 tree (as `parity.py --fingerprint`) in a subprocess with that tree's src on
-PYTHONPATH, in a fresh temporary work directory. The cases, from fixed seeds:
+PYTHONPATH, in a fresh temporary work directory. With --blas-threads N that
+subprocess, and every command it runs, has OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS set to N; without it they are inherited.
+The cases, from fixed seeds:
 
 - model V forward-backward B: the train-mode forward's probabilities (dropout
   on for model 2) and the flat gradient Model.backward writes, at T = 4097
   and batch B in {1, 2, 3, 4, 5, 20};
 - model V scores N: Model.scores of N rows at T = 4097, N in {8, 40, 41};
+- model V evaluate N: harness.evaluate's raw scores of N rows at T = 4097,
+  N in {81, 200}: several chunks, 81 ending on a 1-row tail, which evaluate
+  may score in worker processes;
 - file PATH: every file that COMMANDS, run in order as `python -m eeglstm`,
   leave in the work directory: corpora, artifacts, and logs/NAME.log with
   the command's merged stdout and stderr and its exit code.
 
 A case's fingerprint is the SHA-256 of its bytes. The model cases read only
-the Model API, so they hold across changes of internal layout. A tree takes
-about 35 s (2 vCPU Xeon) and up to 1.5 GB.
+the Model API and harness.evaluate, so they hold across changes of internal
+layout. A tree takes about 50 s (2 vCPU Xeon) and up to 1.5 GB.
 
 Exit status: 0 and "parity: identical" when every case of either tree agrees
 and every command exits 0; 1 when a case differs or exists in one tree only,
@@ -28,6 +34,7 @@ directories are kept for `diff -r`); 2 on bad usage.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -41,6 +48,8 @@ from pathlib import Path
 SEQ_LEN = 4097
 BATCHES = (1, 2, 3, 4, 5, 20)
 SCORE_ROWS = (8, 40, 41)
+EVALUATE_ROWS = (81, 200)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # log name -> arguments; every path is relative to the work directory, so both trees' logs print the same paths
 COMMANDS = {
@@ -71,8 +80,11 @@ COMMANDS = {
 
 def fingerprint() -> dict:
     """{"cases": {case: SHA-256}, "failed": [command]}, with the eeglstm on sys.path, in the current directory."""
+    from types import SimpleNamespace
+
     import numpy as np
 
+    from eeglstm.harness import evaluate
     from eeglstm.layers import ModelConfig, init_params
 
     def digest(*arrays):
@@ -91,6 +103,9 @@ def fingerprint() -> dict:
             cases[f"model {variant} forward-backward B={batch}"] = digest(probs, model.grad)
         for rows in SCORE_ROWS:
             cases[f"model {variant} scores N={rows}"] = digest(model.scores(rng.standard_normal((rows, SEQ_LEN))))
+        for rows in EVALUATE_ROWS:
+            data = SimpleNamespace(samples=rng.standard_normal((rows, SEQ_LEN)), labels=lambda: np.arange(rows) % 2)
+            cases[f"model {variant} evaluate N={rows}"] = digest(evaluate(model, data)[1])
     Path("logs").mkdir()
     for name, args in COMMANDS.items():
         cmd = [sys.executable, "-m", "eeglstm", *args.split()]
@@ -124,9 +139,11 @@ def compare(runs) -> tuple[list, int]:
     return failed + differ + [summary], int(verdict != "identical")
 
 
-def run_tree(tree: Path, work: Path):
+def run_tree(tree: Path, work: Path, blas_threads=None):
     """The tree's fingerprint, or None (its stderr printed) if the fingerprint process fails."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads)))
     start = time.perf_counter()
     cmd = [sys.executable, str(Path(__file__).resolve()), "--fingerprint"]
     proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
@@ -141,11 +158,16 @@ def main(argv) -> int:
     if argv == ["--fingerprint"]:
         print(json.dumps(fingerprint()))
         return 0
-    if len(argv) != 2 or not all((Path(tree) / "src" / "eeglstm").is_dir() for tree in argv):
-        print("usage: parity.py TREE_A TREE_B (each a checkout holding src/eeglstm)", file=sys.stderr)
-        return 2
-    works = [(Path(tree).resolve(), Path(tempfile.mkdtemp(prefix="parity-"))) for tree in argv]
-    lines, status = compare([(tree, run_tree(tree, work)) for tree, work in works])
+    parser = argparse.ArgumentParser(prog="parity.py", description="Check that two source trees give identical results.")
+    parser.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="a checkout holding src/eeglstm")
+    parser.add_argument("--blas-threads", type=int, metavar="N", help="BLAS threads of each fingerprint (default: inherited)")
+    args = parser.parse_args(argv)
+    if not all((tree / "src" / "eeglstm").is_dir() for tree in args.trees):
+        parser.error("each TREE must be a checkout holding src/eeglstm")
+    if args.blas_threads is not None and args.blas_threads < 1:
+        parser.error("--blas-threads must be a positive integer")
+    works = [(tree.resolve(), Path(tempfile.mkdtemp(prefix="parity-"))) for tree in args.trees]
+    lines, status = compare([(tree, run_tree(tree, work, args.blas_threads)) for tree, work in works])
     print("\n".join(lines))
     if status:
         print("work directories kept:", *(work for _, work in works))
