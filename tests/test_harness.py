@@ -181,9 +181,14 @@ class TestEvaluate:
         assert report == expected
         assert scores.shape == (20,)
 
-    @pytest.mark.parametrize("n_per_class", [10, 50])  # one chunk in this process; three in two workers
-    def test_seq_len_mismatch(self, n_per_class, two_cpus):
-        data = tiny_dataset(n_per_class=n_per_class, seq_len=16)
+    def test_seq_len_mismatch(self, two_cpus):
+        data = tiny_dataset(seq_len=16)  # one chunk, scored in this process
+        model = init_params(tiny_config(seq_len=32), 0)
+        with pytest.raises(ShapeError, match="sequence length 16 != configured 32"):
+            evaluate(model, data)
+
+    def test_seq_len_mismatch_in_workers(self, two_cpus):
+        data = tiny_dataset(n_per_class=50, seq_len=16)  # three chunks, scored in two workers
         model = init_params(tiny_config(seq_len=32), 0)
         with pytest.raises(ShapeError, match="sequence length 16 != configured 32"):
             evaluate(model, data)
