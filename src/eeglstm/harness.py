@@ -99,13 +99,16 @@ with open(int(sys.argv[1]), "rb") as tasks, open(int(sys.argv[2]), "wb") as repl
 
 def _serve(tasks, replies) -> None:
     """A worker's work: read (fn, argument tuples), run fn on each in order,
-    and send back (True, results), or (False, (the first exception, its
-    traceback's text))."""
+    and send back (None, results), or, at the first exception, (the failed
+    tuple's position, (the exception, its traceback's text))."""
     fn, arg_tuples = pickle.load(tasks)
+    results = []
     try:
-        reply = (True, [fn(*args) for args in arg_tuples])
+        for args in arg_tuples:
+            results.append(fn(*args))
+        reply = (None, results)
     except Exception as exc:
-        reply = (False, (exc, traceback.format_exc()))
+        reply = (len(results), (exc, traceback.format_exc()))
     pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -118,12 +121,18 @@ def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
     and the parent's sys.path. fn, its arguments and its results travel as
     pickles over two pipes per worker that nothing else writes to, so fn must
     be picklable by reference (a module-level function or a bound method of
-    a picklable object). A worker's exception is raised here with its type
-    and message. A worker that dies without replying (an out-of-memory kill,
-    say) raises one EegLstmError line: `what`, which names the worker, then
-    "died" and the cause. Every worker has exited, and was killed if it was
-    still running, before this returns or raises.
+    a picklable object). When tasks raise, the exception of the lowest
+    failing task is raised here with its type and message, as a serial loop
+    would raise it; a worker that can only fail at a later task is killed
+    once that is known. A worker that dies without replying (an
+    out-of-memory kill, say) raises at once one EegLstmError line: `what`,
+    which names the worker, then "died" and the cause. Every worker has
+    exited, and was killed if it was still running, before this returns or
+    raises. Where child processes cannot inherit pipes (not POSIX), the
+    tasks run in this process, in order.
     """
+    if os.name != "posix":
+        return [fn(*args) for args in arg_tuples]
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
     results, procs = [None] * len(arg_tuples), []
 
@@ -153,24 +162,38 @@ def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
                     send.close()
                 except BrokenPipeError:
                     raise died(w) from None
+            failure = None  # (task index, exception, traceback text) of the lowest failed task
             while pending.get_map():
                 for key, _ in pending.select():
                     w = key.data
                     pending.unregister(key.fileobj)
                     try:
-                        ok, value = pickle.load(key.fileobj)
+                        failed_at, value = pickle.load(key.fileobj)
                     except (EOFError, pickle.UnpicklingError):
                         raise died(w) from None
-                    if not ok:
-                        exc, text = value
-                        raise exc from RuntimeError(f"in a worker process:\n{text}")
-                    results[w::workers] = value
+                    if failed_at is None:
+                        results[w::workers] = value
+                    elif failure is None or w + failed_at * workers < failure[0]:
+                        failure = (w + failed_at * workers, *value)
+                for key in list(pending.get_map().values()):
+                    if failure and key.data > failure[0]:  # its first task, key.data, comes after the failed one
+                        pending.unregister(key.fileobj)
+                        procs[key.data].kill()
+            if failure:
+                _, exc, text = failure
+                raise exc from RuntimeError(f"in a worker process:\n{text}")
         finally:
             for proc in procs:
                 if pending.get_map():  # a reply is missing: end every worker still running
                     proc.kill()
                 proc.wait()
     return results
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, or every CPU where the platform has none."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISION_THRESHOLD):
@@ -180,15 +203,16 @@ def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISIO
     of SCORE_CHUNK samples (layers.score_chunks), so memory grows with
     neither the sequence length nor the number of recordings. With more than
     one chunk and more than one CPU in this process's affinity mask (taskset
-    limits it), the chunks are dealt to min(CPUs, chunks) map_in_workers
-    workers, each with one BLAS thread, and their scores joined in order.
+    limits it; every CPU where the platform has no mask), the chunks are
+    dealt to min(CPUs, chunks) map_in_workers workers, each with one BLAS
+    thread and about 35 MiB of its own, and their scores joined in order.
     Each chunk goes through Model.scores alone, as one chunk, so the scores
     are the serial path's bit for bit. Returns (MetricsReport, raw scores).
     Model.scores raises ShapeError if the samples' length is not the model's
     seq_len.
     """
     chunks = [(data.samples[lo:hi],) for lo, hi in score_chunks(len(data.samples))]
-    workers = min(len(os.sched_getaffinity(0)), len(chunks))
+    workers = min(_cpu_count(), len(chunks)) if len(chunks) > 1 else 1
     if workers > 1:
         scores = np.concatenate(map_in_workers(model.scores, chunks, workers, "a scoring worker"))
     else:
@@ -313,8 +337,8 @@ def run_experiment(
     Every fold gets its own split and its own derived training seed; fold
     execution is order-independent, so jobs > 1 runs folds in min(jobs, k)
     map_in_workers workers, each a fresh interpreter with one BLAS thread,
-    with identical results. A fold's exception reaches the caller with its
-    type and message, as at jobs = 1.
+    with identical results. The lowest failing fold's exception reaches the
+    caller with its type and message, as at jobs = 1.
     """
     splits = kfold_split(data.n_per_class, k, seed)
     config = ModelConfig(variant=variant, seq_len=data.seq_len)

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -46,6 +47,13 @@ def _fold_one_diverges(config, tcfg, split, data):
     if split.fold_index == 1:
         data = replace(data, samples=np.full_like(data.samples, np.nan))
     return _train_model(config, tcfg, split, data)
+
+
+def _every_fold_diverges_fold_0_last(config, tcfg, split, data):
+    """train_model with every recording NaN, so every fold stops on a non-finite loss; fold 0 starts 2 s late."""
+    if split.fold_index == 0:
+        time.sleep(2)
+    return _train_model(config, tcfg, split, replace(data, samples=np.full_like(data.samples, np.nan)))
 
 
 def model1_checkpoint(path):
@@ -245,14 +253,18 @@ class TestDeadWorker:
         assert err.startswith("error: a scoring worker died") and err.count("\n") == 1
         assert "out-of-memory" in err and "Traceback" not in err
 
-    def test_fold_error_in_a_worker_is_the_line_of_jobs_1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "train_model", _fold_one_diverges)
+    @pytest.mark.parametrize(
+        "train_model, fold", [(_fold_one_diverges, 1), (_every_fold_diverges_fold_0_last, 0)]
+    )
+    def test_fold_error_in_a_worker_is_the_line_of_jobs_1(self, train_model, fold, tmp_path, monkeypatch, capsys):
+        # with two failing folds, the lowest fold's line is printed even though fold 1's worker fails first
+        monkeypatch.setattr(harness, "train_model", train_model)
         argv = ["train", "--synthetic", "default", "--seq-len", "16", "--folds", "2"]
         errs = []
         for jobs in ("1", "2"):
             assert run(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 1
             errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1] == "error: fold 1: non-finite training loss at epoch 1, batch 1\n"
+        assert errs[0] == errs[1] == f"error: fold {fold}: non-finite training loss at epoch 1, batch 1\n"
 
 
 class TestTrain:

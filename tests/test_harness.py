@@ -206,6 +206,14 @@ class TestEvaluate:
         # 1 to 41 rows are one chunk or less, scored here; 80 and more are two to five chunks
         assert worker_counts == [2, 2, 2, 2]
 
+    def test_every_cpu_where_the_platform_has_no_affinity_mask(self, monkeypatch, worker_counts):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        model = init_params(tiny_config(seq_len=16), 0)
+        x = np.random.default_rng(0).standard_normal((81, 16))
+        _, scores = evaluate(model, SimpleNamespace(samples=x, labels=lambda: np.arange(81) % 2))
+        assert scores.tobytes() == model.scores(x).tobytes() and worker_counts == [2]
+
 
 class TestMapInWorkers:
     def test_workers_run_one_blas_thread_and_leave_the_environment(self, monkeypatch):
@@ -215,6 +223,12 @@ class TestMapInWorkers:
         seen = harness.map_in_workers(os.getenv, [(var,) for var in harness.BLAS_THREAD_VARS], 2, "a test worker")
         assert seen == ["1", "1", "1"]
         assert dict(os.environ) == before
+
+    def test_tasks_run_here_where_pipes_cannot_be_inherited(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "name", "nt")
+        pids = harness.map_in_workers(os.getpid, [(), ()], 2, "a test worker")
+        monkeypatch.undo()
+        assert pids == [os.getpid()] * 2
 
     def test_results_keep_task_order(self):
         assert harness.map_in_workers(divmod, [(n, 3) for n in range(7)], 3, "a test worker") == [divmod(n, 3) for n in range(7)]

@@ -67,11 +67,8 @@ def test_every_command_parses_with_relative_paths(parity):
         assert not any(arg.startswith("/") for arg in args.split())
 
 
-@pytest.mark.parametrize(
-    "argv", [["--blas-threads", "0", ".", "."], ["--blas-threads", "x", ".", "."], ["."], ["no-such-tree", "."]]
-)
+@pytest.mark.parametrize("argv", [["."], [".", ".", "."], ["no-such-tree", "."]])
 def test_bad_usage_exits_2(parity, argv, capsys):
     root = str(Path(__file__).resolve().parents[1])
-    with pytest.raises(SystemExit) as exc:
-        parity.main([root if arg == "." else arg for arg in argv])
-    assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: parity.py")
+    assert parity.main([root if arg == "." else arg for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("usage: parity.py")

@@ -2,14 +2,14 @@
 bit at the paper's sequence length, and every file and log of the standard
 CLI commands byte for byte.
 
-Usage: python3 tools/parity.py [--blas-threads N] TREE_A TREE_B
+Usage: python3 tools/parity.py TREE_A TREE_B
 
 Each tree is a checkout holding src/eeglstm. The script runs itself once per
 tree (as `parity.py --fingerprint`) in a subprocess with that tree's src on
-PYTHONPATH, in a fresh temporary work directory. With --blas-threads N that
-subprocess, and every command it runs, has OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS set to N; without it they are inherited.
-The cases, from fixed seeds:
+PYTHONPATH, in a fresh temporary work directory. That subprocess, and every
+command it runs, inherits the environment, so to compare at N BLAS threads
+run `OPENBLAS_NUM_THREADS=N OMP_NUM_THREADS=N MKL_NUM_THREADS=N python3
+tools/parity.py TREE_A TREE_B`. The cases, from fixed seeds:
 
 - model V forward-backward B: the train-mode forward's probabilities (dropout
   on for model 2) and the flat gradient Model.backward writes, at T = 4097
@@ -34,7 +34,6 @@ directories are kept for `diff -r`); 2 on bad usage.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -49,7 +48,6 @@ SEQ_LEN = 4097
 BATCHES = (1, 2, 3, 4, 5, 20)
 SCORE_ROWS = (8, 40, 41)
 EVALUATE_ROWS = (81, 200)
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # log name -> arguments; every path is relative to the work directory, so both trees' logs print the same paths
 COMMANDS = {
@@ -139,11 +137,9 @@ def compare(runs) -> tuple[list, int]:
     return failed + differ + [summary], int(verdict != "identical")
 
 
-def run_tree(tree: Path, work: Path, blas_threads=None):
+def run_tree(tree: Path, work: Path):
     """The tree's fingerprint, or None (its stderr printed) if the fingerprint process fails."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    if blas_threads is not None:
-        env.update(dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads)))
     start = time.perf_counter()
     cmd = [sys.executable, str(Path(__file__).resolve()), "--fingerprint"]
     proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
@@ -158,16 +154,11 @@ def main(argv) -> int:
     if argv == ["--fingerprint"]:
         print(json.dumps(fingerprint()))
         return 0
-    parser = argparse.ArgumentParser(prog="parity.py", description="Check that two source trees give identical results.")
-    parser.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="a checkout holding src/eeglstm")
-    parser.add_argument("--blas-threads", type=int, metavar="N", help="BLAS threads of each fingerprint (default: inherited)")
-    args = parser.parse_args(argv)
-    if not all((tree / "src" / "eeglstm").is_dir() for tree in args.trees):
-        parser.error("each TREE must be a checkout holding src/eeglstm")
-    if args.blas_threads is not None and args.blas_threads < 1:
-        parser.error("--blas-threads must be a positive integer")
-    works = [(tree.resolve(), Path(tempfile.mkdtemp(prefix="parity-"))) for tree in args.trees]
-    lines, status = compare([(tree, run_tree(tree, work, args.blas_threads)) for tree, work in works])
+    if len(argv) != 2 or not all((Path(tree) / "src" / "eeglstm").is_dir() for tree in argv):
+        print("usage: parity.py TREE_A TREE_B (each a checkout holding src/eeglstm)", file=sys.stderr)
+        return 2
+    works = [(Path(tree).resolve(), Path(tempfile.mkdtemp(prefix="parity-"))) for tree in argv]
+    lines, status = compare([(tree, run_tree(tree, work)) for tree, work in works])
     print("\n".join(lines))
     if status:
         print("work directories kept:", *(work for _, work in works))
