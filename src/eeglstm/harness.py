@@ -9,7 +9,6 @@ import selectors
 import subprocess
 import sys
 import traceback
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -83,111 +82,105 @@ class ExperimentResult:
 # The thread-count variables of OpenBLAS, OpenMP and MKL, each set to 1 in every worker.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# A worker's program. It ignores SIGINT (its parent ends it), takes the
-# parent's sys.path from its task pipe so that it imports the same modules,
-# then serves the rest of the pipe.
+# A worker's program. It ignores SIGINT (its parent ends it), keeps its
+# stdout for the reply and points file descriptor 1 at stderr, so that what a
+# task prints cannot corrupt the reply, takes the parent's sys.path from stdin
+# so that it imports the same modules, then serves the rest of stdin.
 _WORKER_MAIN = f"""\
 import signal
 signal.signal(signal.SIGINT, signal.SIG_IGN)
-import pickle, sys
-with open(int(sys.argv[1]), "rb") as tasks, open(int(sys.argv[2]), "wb") as replies:
-    sys.path[:] = pickle.load(tasks)
+import os, pickle, sys
+with os.fdopen(os.dup(1), "wb") as replies:
+    os.dup2(2, 1)
+    sys.path[:] = pickle.load(sys.stdin.buffer)
     from {__name__} import _serve
-    _serve(tasks, replies)
+    _serve(sys.stdin.buffer, replies)
 """
 
 
 def _serve(tasks, replies) -> None:
     """A worker's work: read (fn, argument tuples), run fn on each in order,
-    and send back (None, results), or, at the first exception, (the failed
-    tuple's position, (the exception, its traceback's text))."""
+    and send back (True, results) or, at the first exception, (False, (the
+    exception, its traceback's text))."""
     fn, arg_tuples = pickle.load(tasks)
-    results = []
     try:
-        for args in arg_tuples:
-            results.append(fn(*args))
-        reply = (None, results)
+        reply = (True, [fn(*args) for args in arg_tuples])
     except Exception as exc:
-        reply = (len(results), (exc, traceback.format_exc()))
+        reply = (False, (exc, traceback.format_exc()))
     pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
-    """[fn(*args) for args in arg_tuples], computed in `workers` worker processes.
+    """[fn(*args) for args in arg_tuples], computed in min(workers, tasks)
+    worker processes.
 
     Each worker is a fresh interpreter (`sys.executable`, not a fork) with
     one BLAS thread: BLAS_THREAD_VARS are 1 in its environment, and the
-    parent's os.environ is left as it is. Worker w gets arg_tuples[w::workers]
-    and the parent's sys.path. fn, its arguments and its results travel as
-    pickles over two pipes per worker that nothing else writes to, so fn must
-    be picklable by reference (a module-level function or a bound method of
-    a picklable object). When tasks raise, the exception of the lowest
-    failing task is raised here with its type and message, as a serial loop
-    would raise it; a worker that can only fail at a later task is killed
-    once that is known. A worker that dies without replying (an
+    parent's os.environ is left as it is. Worker w gets the parent's sys.path
+    and the contiguous run of the n tasks from ceil(w*n/workers) to
+    ceil((w+1)*n/workers): runs differ by at most one task, and the longer
+    ones go to the lower workers, which are sent their tasks first. fn, its
+    arguments and its results travel as pickles over the worker's stdin and
+    stdout, which nothing else writes to (what a task prints goes to
+    stderr), so fn must be picklable by reference (a module-level function
+    or a bound method of a picklable object). A worker stops at its first
+    failing task, so when tasks raise, the lowest failing task is the first
+    failure of the lowest failing worker: its exception is raised here with
+    its type and message, as a serial loop would raise it, once every worker
+    below that one has replied. A worker that dies without replying (an
     out-of-memory kill, say) raises at once one EegLstmError line: `what`,
     which names the worker, then "died" and the cause. Every worker has
     exited, and was killed if it was still running, before this returns or
-    raises. Where child processes cannot inherit pipes (not POSIX), the
-    tasks run in this process, in order.
+    raises. With one worker, or where selectors cannot wait on pipes (not
+    POSIX), the tasks run in this process, in order.
     """
-    if os.name != "posix":
+    n, workers = len(arg_tuples), min(workers, len(arg_tuples))
+    if workers <= 1 or os.name != "posix":
         return [fn(*args) for args in arg_tuples]
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
-    results, procs = [None] * len(arg_tuples), []
+    cmd = [sys.executable, "-c", _WORKER_MAIN]
+    replies, procs = [None] * workers, []
 
     def died(w):
         code = procs[w].wait()
         how = f"signal {-code}" if code < 0 else f"exit status {code}"
         return EegLstmError(f"{what} died ({how}; an out-of-memory kill is the usual cause)")
 
-    with ExitStack() as pipes, selectors.DefaultSelector() as pending:
+    with selectors.DefaultSelector() as pending:
         try:
-            sends = []
             for w in range(workers):
-                task_r, task_w = os.pipe()
-                reply_r, reply_w = os.pipe()
-                sends.append(pipes.enter_context(open(task_w, "wb")))
-                pending.register(pipes.enter_context(open(reply_r, "rb")), selectors.EVENT_READ, w)
+                procs.append(subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+                pending.register(procs[w].stdout, selectors.EVENT_READ, w)
+            for w, proc in enumerate(procs):  # every worker starts up while the first one is sent its tasks
                 try:
-                    cmd = [sys.executable, "-c", _WORKER_MAIN, str(task_r), str(reply_w)]
-                    procs.append(subprocess.Popen(cmd, stdin=subprocess.DEVNULL, env=env, pass_fds=(task_r, reply_w)))
-                finally:
-                    os.close(task_r)
-                    os.close(reply_w)
-            for w, send in enumerate(sends):  # every worker starts up while the first one is sent its tasks
-                try:
-                    pickle.dump(sys.path, send)
-                    pickle.dump((fn, arg_tuples[w::workers]), send, protocol=pickle.HIGHEST_PROTOCOL)
-                    send.close()
+                    with proc.stdin:
+                        pickle.dump(sys.path, proc.stdin)
+                        # ceil(w*n/workers): a run one task longer goes to a lower worker, sent its tasks sooner
+                        tasks = arg_tuples[-(-w * n // workers) : -(-(w + 1) * n // workers)]
+                        pickle.dump((fn, tasks), proc.stdin, protocol=pickle.HIGHEST_PROTOCOL)
                 except BrokenPipeError:
                     raise died(w) from None
-            failure = None  # (task index, exception, traceback text) of the lowest failed task
-            while pending.get_map():
+            failed = workers  # the lowest worker that replied with a failure
+            while any(key.data < failed for key in pending.get_map().values()):
                 for key, _ in pending.select():
                     w = key.data
                     pending.unregister(key.fileobj)
                     try:
-                        failed_at, value = pickle.load(key.fileobj)
+                        replies[w] = pickle.load(key.fileobj)
                     except (EOFError, pickle.UnpicklingError):
                         raise died(w) from None
-                    if failed_at is None:
-                        results[w::workers] = value
-                    elif failure is None or w + failed_at * workers < failure[0]:
-                        failure = (w + failed_at * workers, *value)
-                for key in list(pending.get_map().values()):
-                    if failure and key.data > failure[0]:  # its first task, key.data, comes after the failed one
-                        pending.unregister(key.fileobj)
-                        procs[key.data].kill()
-            if failure:
-                _, exc, text = failure
+                    if not replies[w][0]:
+                        failed = min(failed, w)
+            if failed < workers:
+                exc, text = replies[failed][1]
                 raise exc from RuntimeError(f"in a worker process:\n{text}")
         finally:
             for proc in procs:
-                if pending.get_map():  # a reply is missing: end every worker still running
+                if pending.get_map():  # a reply is missing or not waited for: end every worker still running
                     proc.kill()
-                proc.wait()
-    return results
+                with proc:  # closes its pipes and waits for it
+                    pass
+    return [result for _, results in replies for result in results]
 
 
 def _cpu_count() -> int:
@@ -201,22 +194,19 @@ def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISIO
 
     Model.scores keeps no forward cache: it steps every layer through chunks
     of SCORE_CHUNK samples (layers.score_chunks), so memory grows with
-    neither the sequence length nor the number of recordings. With more than
-    one chunk and more than one CPU in this process's affinity mask (taskset
-    limits it; every CPU where the platform has no mask), the chunks are
-    dealt to min(CPUs, chunks) map_in_workers workers, each with one BLAS
-    thread and about 35 MiB of its own, and their scores joined in order.
-    Each chunk goes through Model.scores alone, as one chunk, so the scores
-    are the serial path's bit for bit. Returns (MetricsReport, raw scores).
+    neither the sequence length nor the number of recordings. The chunks go
+    to map_in_workers with one worker per CPU in this process's affinity
+    mask (taskset limits it; every CPU where the platform has no mask), so
+    min(CPUs, chunks) workers score contiguous runs of chunks, each with one
+    BLAS thread and about 35 MiB of its own; one chunk or one CPU is scored
+    in this process. Fewer than 2 rows are one chunk. Each chunk goes through
+    Model.scores alone, as one chunk, so the joined scores are those of one
+    Model.scores call bit for bit. Returns (MetricsReport, raw scores).
     Model.scores raises ShapeError if the samples' length is not the model's
     seq_len.
     """
-    chunks = [(data.samples[lo:hi],) for lo, hi in score_chunks(len(data.samples))]
-    workers = min(_cpu_count(), len(chunks)) if len(chunks) > 1 else 1
-    if workers > 1:
-        scores = np.concatenate(map_in_workers(model.scores, chunks, workers, "a scoring worker"))
-    else:
-        scores = model.scores(data.samples)
+    chunks = [(data.samples[lo:hi],) for lo, hi in score_chunks(len(data.samples))] or [(data.samples,)]
+    scores = np.concatenate(map_in_workers(model.scores, chunks, _cpu_count(), "a scoring worker"))
     return metrics.confusion_report(scores, data.labels(), threshold), scores
 
 
@@ -335,19 +325,16 @@ def run_experiment(
     """Train and evaluate one pair over k independent stratified folds.
 
     Every fold gets its own split and its own derived training seed; fold
-    execution is order-independent, so jobs > 1 runs folds in min(jobs, k)
-    map_in_workers workers, each a fresh interpreter with one BLAS thread,
-    with identical results. The lowest failing fold's exception reaches the
-    caller with its type and message, as at jobs = 1.
+    execution is order-independent, so the folds go to map_in_workers with
+    `jobs` workers: min(jobs, k) fresh interpreters with one BLAS thread,
+    each training a contiguous run of folds, with identical results (jobs = 1
+    or k = 1 trains in this process). The lowest failing fold's exception
+    reaches the caller with its type and message, as at jobs = 1.
     """
     splits = kfold_split(data.n_per_class, k, seed)
     config = ModelConfig(variant=variant, seq_len=data.seq_len)
     tasks = [(config, replace(tcfg, seed=fold_train_seed(seed, s.fold_index)), s, data) for s in splits]
-    workers = min(jobs, k)
-    if workers > 1:
-        folds = map_in_workers(train_model, tasks, workers, f"pair {'/'.join(data.pair)}: a fold worker")
-    else:
-        folds = [train_model(*task) for task in tasks]
+    folds = map_in_workers(train_model, tasks, jobs, f"pair {'/'.join(data.pair)}: a fold worker")
     return ExperimentResult(
         pair=data.pair,
         variant=variant,

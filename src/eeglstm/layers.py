@@ -42,10 +42,15 @@ VARIANT_DEFAULTS = {1: ((64,), 0.0), 2: ((128, 64), 0.35)}
 
 # Rows per Model.scores chunk; score_chunks sets the bounds, and
 # harness.evaluate deals the same chunks to its workers. A multiple of 4:
-# OpenBLAS multiplies rows in groups of 4, so only then does each row round
-# as it would in one big batch. A step's numpy calls cost about the same at
-# any row count: with 40 rows, 200 recordings score about 1.2x faster than
-# with 20 (2 vCPU Xeon, one BLAS thread, models 1 and 2).
+# with OpenBLAS 0.3.31 (Haswell kernels), chunks of 4, 8, 16, 44, 100 rows
+# or the whole batch gave the scores of chunks of 40 bit for bit, while
+# chunks of 2, 3, 5, 6, 7, 10, 50 or 102 rows changed some of them (both
+# models, T = 256, 5 to 201 rows; 8, 100 and the whole batch also held at
+# T = 4097 with one BLAS thread and at T = 512 with two). 40 because it is
+# faster: a step's numpy calls cost about the same at any row count, so 200
+# recordings score about 1.2x faster in chunks of 40 than of 20, and model 1
+# scored 200 rows at T = 4097 in 2.5-3.6 s in chunks of 40 against 3.8-4.4 s
+# in one pass (2 vCPU Xeon, one BLAS thread).
 SCORE_CHUNK = 40
 
 # Time steps per block of lstm_backward's bulk precomputation. A block holds

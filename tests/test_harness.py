@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import signal
+import subprocess
 import time
 import weakref
 from dataclasses import replace
@@ -50,20 +52,26 @@ def two_cpus(monkeypatch):
 
 @pytest.fixture
 def worker_counts(monkeypatch):
-    """The worker count of every map_in_workers call, which still runs."""
-    counts, real = [], harness.map_in_workers
+    """The number of worker processes each map_in_workers call starts; the calls still run."""
+    counts, real_map, real_popen = [], harness.map_in_workers, subprocess.Popen
 
-    def counted(fn, arg_tuples, workers, what):
-        counts.append(workers)
-        return real(fn, arg_tuples, workers, what)
+    def popen(*args, **kwargs):
+        counts[-1] += 1
+        return real_popen(*args, **kwargs)
 
+    def counted(*args):
+        counts.append(0)
+        return real_map(*args)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
     monkeypatch.setattr(harness, "map_in_workers", counted)
     return counts
 
 
 def _record_pid_then(action, directory):
     """A worker task: publish this process's id as directory/action, then
-    sleep (action "sleep") or, once the sleeper has published, raise."""
+    sleep (action "sleep") or, once the sleeper has published, die by
+    SIGKILL (action "die") or raise (any other action)."""
     tmp = Path(directory, f"{action}.tmp")
     tmp.write_text(str(os.getpid()))
     tmp.rename(Path(directory, action))
@@ -72,7 +80,25 @@ def _record_pid_then(action, directory):
     deadline = time.monotonic() + 30
     while not Path(directory, "sleep").exists() and time.monotonic() < deadline:
         time.sleep(0.01)
+    if action == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
     raise ValueError(f"{action} worker raised")
+
+
+def _print_then_double(n):
+    """A worker task that writes to stdout through print and through file descriptor 1."""
+    print(f"printed by task {n}")
+    os.write(1, f"written by task {n}\n".encode())
+    return 2 * n
+
+
+def _raise_at_2_and_5(i):
+    """A worker task: tasks 2 and 5 raise, task 2 half a second later."""
+    if i == 2:
+        time.sleep(0.5)
+    if i in (2, 5):
+        raise ValueError(f"task {i} raised")
+    return i
 
 
 def assert_exited(pid):
@@ -204,7 +230,7 @@ class TestEvaluate:
             _, scores = evaluate(model, SimpleNamespace(samples=x, labels=lambda: np.arange(n) % 2))
             assert scores.tobytes() == model.scores(x).tobytes(), n
         # 1 to 41 rows are one chunk or less, scored here; 80 and more are two to five chunks
-        assert worker_counts == [2, 2, 2, 2]
+        assert worker_counts == [0, 0, 0, 0, 2, 2, 2, 2]
 
     def test_every_cpu_where_the_platform_has_no_affinity_mask(self, monkeypatch, worker_counts):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -246,6 +272,23 @@ class TestMapInWorkers:
         assert time.monotonic() - start < 30  # the sleeping worker was killed, not waited for
         for action in ("raise", "sleep"):
             assert_exited(int((tmp_path / action).read_text()))
+
+    def test_a_dead_worker_raises_while_a_lower_one_is_busy(self, tmp_path):
+        start = time.monotonic()
+        with pytest.raises(EegLstmError, match=rf"^a test worker died \(signal {int(signal.SIGKILL)}; "):
+            harness.map_in_workers(_record_pid_then, [("sleep", tmp_path), ("die", tmp_path)], 2, "a test worker")
+        assert time.monotonic() - start < 30  # raised at once, not after the sleeping worker woke
+        for action in ("sleep", "die"):
+            assert_exited(int((tmp_path / action).read_text()))
+
+    def test_what_tasks_write_to_stdout_leaves_the_results_intact(self, capfd):
+        assert harness.map_in_workers(_print_then_double, [(n,) for n in range(4)], 2, "a test worker") == [0, 2, 4, 6]
+        err = capfd.readouterr().err
+        assert all(f"printed by task {n}" in err and f"written by task {n}" in err for n in range(4))
+
+    def test_the_lowest_failing_task_raises_whichever_error_arrives_first(self):
+        with pytest.raises(ValueError, match="^task 2 raised$"):
+            harness.map_in_workers(_raise_at_2_and_5, [(i,) for i in range(7)], 3, "a test worker")
 
 
 class TestAggregation:
@@ -307,19 +350,11 @@ class TestRunExperiment:
         par = run_experiment(data, 1, k=2, seed=5, tcfg=tcfg, jobs=2)
         assert experiment_to_dict(seq) == experiment_to_dict(par)
 
-    def test_jobs_start_at_most_one_worker_per_fold(self, monkeypatch):
-        started = []
-
-        def recording_map(fn, arg_tuples, workers, what):
-            """Runs tasks in this process and records the worker count asked for."""
-            started.append(workers)
-            return [fn(*args) for args in arg_tuples]
-
-        monkeypatch.setattr(harness, "map_in_workers", recording_map)
+    def test_jobs_start_at_most_one_worker_per_fold(self, worker_counts):
         tcfg = TrainConfig(epochs=1, seed=0)
         run_experiment(tiny_dataset(), 1, k=2, seed=5, tcfg=tcfg, jobs=100000)
         run_experiment(tiny_dataset(), 1, k=1, seed=5, tcfg=tcfg, jobs=100000)
-        assert started == [2]
+        assert worker_counts == [2, 0]
 
     def test_fold_seeds_are_stable_and_distinct(self):
         assert fold_train_seed(7, 0) == fold_train_seed(7, 0)
