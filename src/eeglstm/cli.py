@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line interface, run by eeglstm.__main__.
 
 Subcommands: train, evaluate, reproduce, gen-synth, gradcheck. Exit codes:
 0 success, 1 runtime/data failure, 2 usage error. Every run prints its full
@@ -114,13 +114,12 @@ def cmd_train(args, parser) -> int:
             "folds": args.folds,
             "seq_len": dataset.seq_len,
             "standardize": dataset.standardized,
-            "jobs": args.jobs,
             "out": args.out,
             **asdict(tcfg),
         },
     )
     Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before training, not after
-    result = harness.run_experiment(dataset, args.model, args.folds, args.seed, tcfg, jobs=args.jobs)
+    result = harness.run_experiment(dataset, args.model, args.folds, args.seed, tcfg, jobs=harness.cpu_count())
     table, paths = harness.write_run(args.out, [result])
     print(table, end="")
     print(f"wrote {', '.join(map(str, paths))}")
@@ -167,7 +166,6 @@ def cmd_reproduce(args, parser) -> int:
             "folds": args.folds,
             "seq_len": args.seq_len,
             "standardize": args.standardize,
-            "jobs": args.jobs,
             "out": args.out,
             **asdict(tcfg),
         },
@@ -180,7 +178,6 @@ def cmd_reproduce(args, parser) -> int:
         tcfg,
         seq_len=args.seq_len,
         standardize=args.standardize,
-        jobs=args.jobs,
     )
     table, _ = harness.write_run(args.out, results)
     print(table, end="")
@@ -274,7 +271,6 @@ def _add_train_flags(sub) -> None:
     sub.add_argument("--batch", type=_pos_int, default=recipe.batch_size, help="mini-batch size (default %(default)s)")
     sub.add_argument("--lr", type=_pos_float, default=recipe.learning_rate, help="learning rate (default %(default)s)")
     sub.add_argument("--standardize", action="store_true", help="per-sequence standardization (recorded in artifacts)")
-    sub.add_argument("--jobs", type=_pos_int, default=1, help="parallel fold workers (default %(default)s)")
     sub.add_argument("--out", default="runs", help="output directory (default ./runs)")
 
 
@@ -336,7 +332,3 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

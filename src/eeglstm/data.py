@@ -193,11 +193,17 @@ def kfold_split(n_per_class: int, k: int, seed: int):
     return folds
 
 
+# A bound on a standard normal draw's magnitude; one beyond it has probability below 1e-2000.
+NOISE_DRAW_BOUND = 100.0
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """A synthetic pair: n recordings per class of amp*sin(2 pi fk t) plus
     Gaussian noise of sd `noise`, sampled at `rate` Hz (k = 0, 1). A
-    ValueError names a bad key; the defaults are the desk-scale pair."""
+    ValueError names a bad key, or amp and noise when |amp| +
+    NOISE_DRAW_BOUND*noise is not finite, since the recordings could then
+    overflow float64; the defaults are the desk-scale pair."""
 
     f0: float = 2.0
     f1: float = 10.0
@@ -218,6 +224,11 @@ class SynthSpec:
                 ok, need = 0 <= value < math.inf, "non-negative and finite"
             if not ok:
                 raise ValueError(f"{key} must be {need}, got {value}")
+        if not math.isfinite(abs(self.amp) + NOISE_DRAW_BOUND * self.noise):
+            raise ValueError(
+                f"amp and noise could overflow float64: |amp| + {NOISE_DRAW_BOUND:g}*noise is not finite, "
+                f"got amp={self.amp}, noise={self.noise}"
+            )
 
 
 # Desk-scale default length: two seconds at the default 64 Hz rate.
@@ -228,8 +239,9 @@ def gen_synthetic(spec: SynthSpec, seq_len: int, seed: int) -> PairDataset:
     """Deterministic surrogate corpus from `spec`: sets syn0 (tone f0, class 0)
     and syn1 (tone f1, class 1), noise drawn from one generator seeded by `seed`.
 
-    Raises ValueError if a generated value is not finite (float64 overflow),
-    and MemoryError if no array of seq_len values can be allocated.
+    Raises ValueError if a generated value is not finite (float64 overflow,
+    which SynthSpec's bound already rules out), and MemoryError if no array
+    of seq_len values can be allocated.
     """
     if seq_len < 2:
         raise ValueError(f"seq_len must be >= 2, got {seq_len}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint, metrics
+from . import BLAS_THREAD_VARS, checkpoint, metrics
 from .data import BONN_SEQ_LEN, SET_IDS, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
 from .errors import EegLstmError
 from .layers import Model, ModelConfig, init_params, score_chunks
@@ -78,9 +78,6 @@ class ExperimentResult:
     def curves(self) -> list:
         return [f.curves for f in self.folds]
 
-
-# The thread-count variables of OpenBLAS, OpenMP and MKL, each set to 1 in every worker.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # A worker's program. It ignores SIGINT (its parent ends it), keeps its
 # stdout for the reply and points file descriptor 1 at stderr, so that what a
@@ -183,7 +180,7 @@ def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
     return [result for _, results in replies for result in results]
 
 
-def _cpu_count() -> int:
+def cpu_count() -> int:
     """CPUs this process may run on: its affinity mask, or every CPU where the platform has none."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -206,7 +203,7 @@ def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISIO
     seq_len.
     """
     chunks = [(data.samples[lo:hi],) for lo, hi in score_chunks(len(data.samples))] or [(data.samples,)]
-    scores = np.concatenate(map_in_workers(model.scores, chunks, _cpu_count(), "a scoring worker"))
+    scores = np.concatenate(map_in_workers(model.scores, chunks, cpu_count(), "a scoring worker"))
     return metrics.confusion_report(scores, data.labels(), threshold), scores
 
 
@@ -327,9 +324,10 @@ def run_experiment(
     Every fold gets its own split and its own derived training seed; fold
     execution is order-independent, so the folds go to map_in_workers with
     `jobs` workers: min(jobs, k) fresh interpreters with one BLAS thread,
-    each training a contiguous run of folds, with identical results (jobs = 1
-    or k = 1 trains in this process). The lowest failing fold's exception
-    reaches the caller with its type and message, as at jobs = 1.
+    each training a contiguous run of folds; jobs = 1 or k = 1 trains in
+    this process, with the same results if it too has one BLAS thread (as
+    a CLI run has). The lowest failing fold's exception reaches the caller
+    with its type and message, as at jobs = 1.
     """
     splits = kfold_split(data.n_per_class, k, seed)
     config = ModelConfig(variant=variant, seq_len=data.seq_len)
@@ -355,11 +353,10 @@ def run_reproduction(
     tcfg: TrainConfig,
     seq_len: int = BONN_SEQ_LEN,
     standardize: bool = False,
-    jobs: int = 1,
 ):
-    """Run the full six-pair grid against an on-disk corpus, printing a line
-    as each pair starts and ends. All five sets load first, so a bad corpus
-    fails before any training."""
+    """Run the full six-pair grid against an on-disk corpus, one fold worker
+    per CPU, printing a line as each pair starts and ends. All five sets
+    load first, so a bad corpus fails before any training."""
     loaded = {set_id: load_bonn_set(data_root, set_id, expected_len=seq_len) for set_id in SET_IDS}
     results = []
     for first, second, variant in TABLE_PAIRS:
@@ -367,7 +364,7 @@ def run_reproduction(
         if standardize:
             dataset = standardize_dataset(dataset)
         print(f"pair {first}/{second} (model {variant}) ...")
-        results.append(run_experiment(dataset, variant, k, seed, tcfg, jobs=jobs))
+        results.append(run_experiment(dataset, variant, k, seed, tcfg, jobs=cpu_count()))
         agg = results[-1].aggregate
         print(f"pair {first}/{second}: val_acc={_fmt_pct(agg['val_accuracy'])} auc={_fmt_auc(agg['auc'])}")
     return results

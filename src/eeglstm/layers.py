@@ -419,6 +419,15 @@ class Model:
         ]
         self.dense = DenseParams(p["dense.weights"], p["dense.bias"])
 
+    def __getstate__(self):
+        """A model pickles as (config, params), so an unpickled one is rebuilt with views of one buffer."""
+        return self.config, self.params
+
+    def __setstate__(self, state):
+        config, params = state
+        self.__init__(config)
+        self.params[...] = params
+
     def blocks(self, vec) -> dict:
         """Map each block name, in storage order, to its reshaped view of vec."""
         views, end = {}, 0

@@ -139,7 +139,6 @@ def test_full_table_reproduction_advisory():
     results = run_reproduction(
         os.environ["BONN_DATA_DIR"], k=10, seed=7, tcfg=TrainConfig(),
         standardize=os.environ.get("BONN_STANDARDIZE", "1") == "1",
-        jobs=int(os.environ.get("BONN_JOBS", "1")),
     )
     by_pair = {"/".join(r.pair): r.aggregate for r in results}
     ae = by_pair["A/E"]

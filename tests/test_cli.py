@@ -1,13 +1,16 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eeglstm import checkpoint, harness
+from eeglstm import BLAS_THREAD_VARS, checkpoint, harness
 from eeglstm.checkpoint import save_checkpoint
 from eeglstm.cli import main
 from eeglstm.data import SynthSpec, gen_synthetic, export_bonn_format
@@ -140,6 +143,8 @@ class TestUsageErrors:
             (["evaluate", "--checkpoint", "ckpt.json", "--synthetic", "--seq-len", "20"], "--seq-len"),
             # the grid draws from one fixed seed
             (["gradcheck", "--seed", "1"], "--seed"),
+            # a spec that could overflow is a usage error before the checkpoint is read
+            (["evaluate", "--checkpoint", "missing.json", "--synthetic", "amp=1e308,noise=1e308"], "--synthetic"),
         ],
     )
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, capsys):
@@ -228,16 +233,16 @@ class TestAllocationErrors:
 
 
 class TestDeadWorker:
-    def test_dead_fold_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys, in_test_process):
+    def test_dead_fold_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys, in_test_process, two_cpus):
         # run_experiment sends the patched module attribute to its workers by name
         monkeypatch.setattr(harness, "train_model", _kill_own_process)
-        argv = ["train", "--synthetic", "default", "--seq-len", "16", "--folds", "2", "--jobs", "2"]
+        argv = ["train", "--synthetic", "default", "--seq-len", "16", "--folds", "2"]
         assert run(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: pair syn0/syn1: a fold worker died") and err.count("\n") == 1
         assert "out-of-memory" in err and "Traceback" not in err
 
-    def test_dead_scoring_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys, in_test_process):
+    def test_dead_scoring_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys, in_test_process, two_cpus):
         real = checkpoint.load_checkpoint
 
         def load(*args, **kwargs):
@@ -246,7 +251,6 @@ class TestDeadWorker:
             return model, meta
 
         monkeypatch.setattr(checkpoint, "load_checkpoint", load)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         argv = ["evaluate", "--checkpoint", str(model1_checkpoint(tmp_path / "ckpt.json")), "--synthetic", "n=50"]
         assert run(argv) == 1
         err = capsys.readouterr().err
@@ -257,17 +261,39 @@ class TestDeadWorker:
         "train_model, fold", [(_fold_one_diverges, 1), (_every_fold_diverges_fold_0_last, 0)]
     )
     def test_fold_error_in_a_worker_is_the_line_of_jobs_1(self, train_model, fold, tmp_path, monkeypatch, capsys):
-        # with two failing folds, the lowest fold's line is printed even though fold 1's worker fails first
+        # with two failing folds, the lowest fold's line is printed even though fold 1's worker fails first;
+        # one CPU trains both folds in this process, as jobs=1 does, two CPUs in two workers
         monkeypatch.setattr(harness, "train_model", train_model)
         argv = ["train", "--synthetic", "default", "--seq-len", "16", "--folds", "2"]
         errs = []
-        for jobs in ("1", "2"):
-            assert run(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 1
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert run(argv + ["--out", str(tmp_path / str(len(cpus)))]) == 1
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1] == f"error: fold {fold}: non-finite training loss at epoch 1, batch 1\n"
 
 
 class TestTrain:
+    def test_folds_train_on_one_worker_per_cpu_at_most_one_per_fold(self, tmp_path, monkeypatch, worker_counts):
+        argv = ["train", "--synthetic", "default", "--seq-len", "16", "--epochs", "1"]
+        for cpus, folds in (({0, 1, 2}, 2), ({0}, 2), ({0, 1}, 1)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert run(argv + ["--folds", str(folds), "--out", str(tmp_path / f"{len(cpus)}-{folds}")]) == 0
+        assert worker_counts == [2, 0, 0]
+
+    def test_artifacts_are_the_same_bits_at_any_blas_thread_count(self, tmp_path):
+        # T=3000 is the shortest length found at which a training step's weight-gradient products round
+        # differently on one and on two OpenBLAS threads; a CLI run computes on one whatever its environment says
+        argv = [sys.executable, "-m", "eeglstm", "train", "--synthetic", "n=10", "--seq-len", "3000"]
+        argv += ["--folds", "1", "--epochs", "1", "--seed", "7"]
+        src = str(Path(harness.__file__).parents[1])
+        artifacts = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, **dict.fromkeys(BLAS_THREAD_VARS, threads)}
+            subprocess.run(argv + ["--out", str(tmp_path / threads)], env=env, check=True, stdout=subprocess.DEVNULL)
+            artifacts.append({path.name: path.read_bytes() for path in (tmp_path / threads).iterdir()})
+        assert len(artifacts[0]) == 4 and artifacts[0] == artifacts[1]
+
     def test_out_that_is_a_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
         def no_training(*args, **kwargs):
             raise AssertionError("trained although --out cannot be created")
@@ -408,18 +434,27 @@ class TestReproduce:
             run(["reproduce"])
         assert exc.value.code == 2
 
-    def test_runs_on_tiny_surrogate_corpus(self, tmp_path, capsys):
+    def test_runs_on_tiny_surrogate_corpus(self, tmp_path, capsys, monkeypatch):
         # five sets named A-E (100 files each) so every pair in the grid resolves
         amps = {"A": 200, "B": 220, "C": 240, "D": 800, "E": 1200}
         for name, amp in amps.items():
             ds = gen_synthetic(SynthSpec(2, 9, amp, 10, 64.0, 100), 16, seed=ord(name))
             export_bonn_format(ds, tmp_path / "corpus", set_names=(name, name + "_unused"))
         out = tmp_path / "rep"
+        seen, real = [], harness.run_experiment
+
+        def run_experiment(*args, jobs):
+            seen.append(jobs)
+            return real(*args, jobs=jobs)
+
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         code = run([
             "reproduce", "--data", str(tmp_path / "corpus"), "--seq-len", "16",
             "--folds", "1", "--epochs", "1", "--standardize", "--out", str(out),
         ])
         assert code == 0
+        assert seen == [3] * 6  # each pair's folds go to one worker per CPU
         rows = (out / "results.csv").read_text().splitlines()
         assert len(rows) == 1 + 6 + 1  # header, six pairs, average
         assert rows[-1].startswith("average,")

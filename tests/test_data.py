@@ -265,6 +265,18 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="not finite"):
             gen_synthetic(SynthSpec(2, 2, 1e308, 1e308, 64.0, 5), 32, seed=0)  # overflows float64
 
+    def test_a_spec_that_could_overflow_is_rejected(self):
+        for amp, noise in ((1e308, 1e308), (1e308, 1e306), (-1.7e308, 1e306), (0.0, 1.8e306)):
+            with pytest.raises(ValueError, match=r"^amp and noise could overflow float64: \|amp\| \+ 100\*noise"):
+                SynthSpec(amp=amp, noise=noise)
+        for amp, noise in ((1.7e308, 0.0), (-1e308, 7e305), (0.0, 1.7e306)):
+            SynthSpec(amp=amp, noise=noise)  # |amp| + 100*noise is finite
+
+    def test_generated_values_are_checked_as_a_backstop(self, monkeypatch):
+        monkeypatch.setattr(SynthSpec, "__post_init__", lambda self: None)
+        with pytest.raises(ValueError, match="syn0-000: generated values are not finite"):
+            gen_synthetic(SynthSpec(2, 2, 1e308, 1e308, 64.0, 5), 32, seed=0)
+
     @pytest.mark.parametrize(
         "key,value", [("f0", -1.0), ("f1", np.nan), ("amp", np.inf), ("noise", -0.1), ("rate", 0.0), ("n", 0)]
     )

@@ -2,7 +2,6 @@ import csv
 import json
 import os
 import signal
-import subprocess
 import time
 import weakref
 from dataclasses import replace
@@ -42,30 +41,6 @@ def tiny_dataset(n_per_class=10, seq_len=32, seed=4):
 
 def tiny_config(seq_len=32, hidden=8):
     return ModelConfig(variant=1, seq_len=seq_len, hidden_sizes=(hidden,))
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """harness.evaluate sees two CPUs in its affinity mask, whatever the machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
-@pytest.fixture
-def worker_counts(monkeypatch):
-    """The number of worker processes each map_in_workers call starts; the calls still run."""
-    counts, real_map, real_popen = [], harness.map_in_workers, subprocess.Popen
-
-    def popen(*args, **kwargs):
-        counts[-1] += 1
-        return real_popen(*args, **kwargs)
-
-    def counted(*args):
-        counts.append(0)
-        return real_map(*args)
-
-    monkeypatch.setattr(subprocess, "Popen", popen)
-    monkeypatch.setattr(harness, "map_in_workers", counted)
-    return counts
 
 
 def _record_pid_then(action, directory):

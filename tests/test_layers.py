@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -512,6 +513,21 @@ class TestModel:
             assert not np.array_equal(model.scores(x), before)
             model.params[-1] = 2.0  # and a write to params reaches the blocks
             assert model.dense.bias == 2.0
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_an_unpickled_model_keeps_one_buffer(self, variant):
+        # a scoring worker gets its model as a pickle of its bound method model.scores
+        model = init_params(ModelConfig(variant=variant, seq_len=16), variant)
+        data = pickle.dumps(model.scores, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(data) < model.params.nbytes + 1024  # params once; no grad, no block copies
+        copy = pickle.loads(data).__self__
+        x = np.random.default_rng(variant).standard_normal((3, 16))
+        assert type(copy) is type(model) and copy.scores(x).tobytes() == model.scores(x).tobytes()
+        blocks = copy.param_arrays() + [copy.dense.weights, copy.dense.bias]
+        blocks += [array for layer in copy.lstm_layers for array in (layer.kernel, layer.recurrent, layer.bias)]
+        assert all(np.shares_memory(block, copy.params) for block in blocks)
+        copy.params[...] = 0.0
+        assert not any(block.any() for block in blocks)
 
     def test_layer_cache_holds_only_what_backward_reads(self):
         model = init_params(ModelConfig(variant=2, seq_len=7, hidden_sizes=(5, 3)), 0)

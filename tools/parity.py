@@ -9,7 +9,8 @@ tree (as `parity.py --fingerprint`) in a subprocess with that tree's src on
 PYTHONPATH, in a fresh temporary work directory. That subprocess, and every
 command it runs, inherits the environment, so to compare at N BLAS threads
 run `OPENBLAS_NUM_THREADS=N OMP_NUM_THREADS=N MKL_NUM_THREADS=N python3
-tools/parity.py TREE_A TREE_B`. The cases, from fixed seeds:
+tools/parity.py TREE_A TREE_B`. Only the model cases follow N: the CLI
+commands compute on one BLAS thread at any N. The cases, from fixed seeds:
 
 - model V forward-backward B: the train-mode forward's probabilities (dropout
   on for model 2) and the flat gradient Model.backward writes, at T = 4097
@@ -60,7 +61,8 @@ COMMANDS = {
     # every synthetic key away from its default
     "train-synth-keys": "train --synthetic f0=3,f1=7,amp=2,noise=0.5,rate=50,n=20 --seq-len 48 --folds 2 "
     "--epochs 1 --seed 5 --out train-synth-keys",
-    "train-m2-jobs": "train --synthetic default --model 2 --seq-len 32 --folds 3 --epochs 2 --seed 3 --jobs 2 "
+    # three folds: fold workers on any host with two or more CPUs
+    "train-m2-jobs": "train --synthetic default --model 2 --seq-len 32 --folds 3 --epochs 2 --seed 3 "
     "--out train-m2-jobs",
     # 28 training rows per fold in batches of 3: every epoch ends on a 1-row batch, which numpy
     # multiplies with gemv
