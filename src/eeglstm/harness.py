@@ -8,7 +8,6 @@ import pickle
 import selectors
 import subprocess
 import sys
-import traceback
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -79,32 +78,27 @@ class ExperimentResult:
         return [f.curves for f in self.folds]
 
 
-# A worker's program. It ignores SIGINT (its parent ends it), keeps its
-# stdout for the reply and points file descriptor 1 at stderr, so that what a
-# task prints cannot corrupt the reply, takes the parent's sys.path from stdin
-# so that it imports the same modules, then serves the rest of stdin.
+# A worker's program. It imports no eeglstm module, so a task loads only what
+# unpickling it needs. It sets BLAS_THREAD_VARS to 1 before anything imports
+# numpy, ignores SIGINT (its parent ends it), and keeps its stdout for the
+# reply while file descriptor 1 points at stderr, so that what a task prints
+# cannot corrupt the reply. From stdin it reads the parent's sys.path, then
+# (fn, argument tuples); it runs fn on each in order and replies once, with
+# (True, results) or, at the first exception, (False, (exc, traceback text)).
 _WORKER_MAIN = f"""\
-import signal
+import os, pickle, signal, sys, traceback
+os.environ.update(dict.fromkeys({BLAS_THREAD_VARS!r}, "1"))
 signal.signal(signal.SIGINT, signal.SIG_IGN)
-import os, pickle, sys
 with os.fdopen(os.dup(1), "wb") as replies:
     os.dup2(2, 1)
     sys.path[:] = pickle.load(sys.stdin.buffer)
-    from {__name__} import _serve
-    _serve(sys.stdin.buffer, replies)
-"""
-
-
-def _serve(tasks, replies) -> None:
-    """A worker's work: read (fn, argument tuples), run fn on each in order,
-    and send back (True, results) or, at the first exception, (False, (the
-    exception, its traceback's text))."""
-    fn, arg_tuples = pickle.load(tasks)
+    fn, arg_tuples = pickle.load(sys.stdin.buffer)
     try:
         reply = (True, [fn(*args) for args in arg_tuples])
     except Exception as exc:
         reply = (False, (exc, traceback.format_exc()))
     pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
+"""
 
 
 def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
@@ -112,8 +106,8 @@ def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
     worker processes.
 
     Each worker is a fresh interpreter (`sys.executable`, not a fork) with
-    one BLAS thread: BLAS_THREAD_VARS are 1 in its environment, and the
-    parent's os.environ is left as it is. Worker w gets the parent's sys.path
+    one BLAS thread: it sets BLAS_THREAD_VARS to 1 in its own os.environ,
+    and the parent's is left as it is. Worker w gets the parent's sys.path
     and the contiguous run of the n tasks from ceil(w*n/workers) to
     ceil((w+1)*n/workers): runs differ by at most one task, and the longer
     ones go to the lower workers, which are sent their tasks first. fn, its
@@ -134,7 +128,6 @@ def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
     n, workers = len(arg_tuples), min(workers, len(arg_tuples))
     if workers <= 1 or os.name != "posix":
         return [fn(*args) for args in arg_tuples]
-    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
     cmd = [sys.executable, "-c", _WORKER_MAIN]
     replies, procs = [None] * workers, []
 
@@ -146,7 +139,7 @@ def map_in_workers(fn, arg_tuples, workers: int, what: str) -> list:
     with selectors.DefaultSelector() as pending:
         try:
             for w in range(workers):
-                procs.append(subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+                procs.append(subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE))
                 pending.register(procs[w].stdout, selectors.EVENT_READ, w)
             for w, proc in enumerate(procs):  # every worker starts up while the first one is sent its tasks
                 try:

@@ -256,6 +256,30 @@ class TestMapInWorkers:
         for action in ("sleep", "die"):
             assert_exited(int((tmp_path / action).read_text()))
 
+    def test_no_worker_outlives_an_interrupted_wait(self, tmp_path, monkeypatch):
+        directories = [tmp_path / "a", tmp_path / "b"]
+        for directory in directories:
+            directory.mkdir()
+
+        class Interrupted(harness.selectors.DefaultSelector):
+            def select(self, timeout=None):  # Ctrl-C reaches the parent once both workers are running tasks
+                deadline = time.monotonic() + 30
+                while not all((d / "sleep").exists() for d in directories) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness.selectors, "DefaultSelector", Interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            harness.map_in_workers(_record_pid_then, [("sleep", d) for d in directories], 2, "a test worker")
+        assert time.monotonic() - start < 30  # the sleeping workers were killed, not waited for
+        for directory in directories:
+            assert_exited(int((directory / "sleep").read_text()))
+
+    def test_a_worker_imports_only_what_its_task_needs(self):
+        expr = "sorted(m for m in __import__('sys').modules if m.partition('.')[0] == 'eeglstm')"
+        assert harness.map_in_workers(eval, [(expr,)] * 2, 2, "a test worker") == [[], []]
+
     def test_what_tasks_write_to_stdout_leaves_the_results_intact(self, capfd):
         assert harness.map_in_workers(_print_then_double, [(n,) for n in range(4)], 2, "a test worker") == [0, 2, 4, 6]
         err = capfd.readouterr().err
