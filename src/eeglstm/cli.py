@@ -58,15 +58,6 @@ def _print_config(title: str, items: dict) -> None:
         print(f"  {key} = {value}")
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
-
-
 def _check_data_flags(args, parser):
     """Check --data/--pair/--synthetic without reading anything: returns the
     pair of set names for --data, or the SynthSpec for --synthetic."""
@@ -83,8 +74,9 @@ def _check_data_flags(args, parser):
     return _parse_synth_spec(args.synthetic, parser)
 
 
-def _resolve_dataset(args, parser, checked, seq_len):
-    """Build the dataset from what _check_data_flags returned; seq_len None means the source's default."""
+def _resolve_dataset(args, parser, checked, seq_len, standardize):
+    """Build the dataset from what _check_data_flags returned, standardized if asked; seq_len None means
+    the source's default."""
     if args.data:
         seq_len = datamod.BONN_SEQ_LEN if seq_len is None else seq_len
         first, second = (datamod.load_bonn_set(args.data, name, expected_len=seq_len) for name in checked)
@@ -97,31 +89,27 @@ def _resolve_dataset(args, parser, checked, seq_len):
         except ValueError as exc:
             parser.error(f"--synthetic: {exc}")
         source = f"synthetic:{args.synthetic}"
-    return dataset, source
+    return (datamod.standardize_dataset(dataset) if standardize else dataset), source
+
+
+def _train_and_write(args, title: str, items: dict, train) -> list:
+    """Echo the command's items, --out and the TrainConfig from the flags; create --out; write the
+    results of train(tcfg) with harness.write_run and print results.csv. Returns the written paths."""
+    tcfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs, seed=args.seed)
+    _print_config(title, {**items, "out": args.out, **asdict(tcfg)})
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before training, not after
+    table, paths = harness.write_run(args.out, train(tcfg))
+    print(table, end="")
+    return paths
 
 
 def cmd_train(args, parser) -> int:
-    dataset, source = _resolve_dataset(args, parser, _check_data_flags(args, parser), args.seq_len)
-    if args.standardize:
-        dataset = datamod.standardize_dataset(dataset)
-    tcfg = _train_config(args)
-    _print_config(
-        "train",
-        {
-            "source": source,
-            "pair": "/".join(dataset.pair),
-            "model": args.model,
-            "folds": args.folds,
-            "seq_len": dataset.seq_len,
-            "standardize": dataset.standardized,
-            "out": args.out,
-            **asdict(tcfg),
-        },
-    )
-    Path(args.out).mkdir(parents=True, exist_ok=True)  # a bad --out fails before training, not after
-    result = harness.run_experiment(dataset, args.model, args.folds, args.seed, tcfg, jobs=harness.cpu_count())
-    table, paths = harness.write_run(args.out, [result])
-    print(table, end="")
+    dataset, source = _resolve_dataset(args, parser, _check_data_flags(args, parser), args.seq_len, args.standardize)
+    items = {"source": source, "pair": "/".join(dataset.pair), "model": args.model, "folds": args.folds,
+             "seq_len": dataset.seq_len, "standardize": dataset.standardized}
+    paths = _train_and_write(args, "train", items, lambda tcfg: [
+        harness.run_experiment(dataset, args.model, args.folds, args.seed, tcfg, jobs=harness.cpu_count())
+    ])
     print(f"wrote {', '.join(map(str, paths))}")
     return 0
 
@@ -129,9 +117,7 @@ def cmd_train(args, parser) -> int:
 def cmd_evaluate(args, parser) -> int:
     checked = _check_data_flags(args, parser)  # usage errors come before reading the checkpoint
     model, meta = ckpt.load_checkpoint(args.checkpoint, expect_variant=args.model)
-    dataset, source = _resolve_dataset(args, parser, checked, model.config.seq_len)
-    if meta["standardized"]:
-        dataset = datamod.standardize_dataset(dataset)
+    dataset, source = _resolve_dataset(args, parser, checked, model.config.seq_len, meta["standardized"])
     _print_config(
         "evaluate",
         {
@@ -158,29 +144,10 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_reproduce(args, parser) -> int:
-    tcfg = _train_config(args)
-    _print_config(
-        "reproduce",
-        {
-            "data": args.data,
-            "folds": args.folds,
-            "seq_len": args.seq_len,
-            "standardize": args.standardize,
-            "out": args.out,
-            **asdict(tcfg),
-        },
-    )
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    results = harness.run_reproduction(
-        args.data,
-        args.folds,
-        args.seed,
-        tcfg,
-        seq_len=args.seq_len,
-        standardize=args.standardize,
-    )
-    table, _ = harness.write_run(args.out, results)
-    print(table, end="")
+    items = {"data": args.data, "folds": args.folds, "seq_len": args.seq_len, "standardize": args.standardize}
+    _train_and_write(args, "reproduce", items, lambda tcfg: harness.run_reproduction(
+        args.data, args.folds, args.seed, tcfg, seq_len=args.seq_len, standardize=args.standardize
+    ))
     print(f"wrote results under {Path(args.out)}")
     return 0
 

@@ -42,8 +42,9 @@ VARIANT_DEFAULTS = {1: ((64,), 0.0), 2: ((128, 64), 0.35)}
 
 # Rows per Model.scores chunk; score_chunks sets the bounds, and
 # harness.evaluate deals the same chunks to its workers. A multiple of 4:
-# with OpenBLAS 0.3.31 (Haswell kernels), chunks of 4, 8, 16, 44, 100 rows
-# or the whole batch gave the scores of chunks of 40 bit for bit, while
+# with OpenBLAS 0.3.31 (Haswell kernels), chunks of 4, 8, 16, 20, 44, 100
+# rows or the whole batch gave the scores of chunks of 40 bit for bit
+# (tests/test_layers.py::TestScores pins it at T = 64 and 200 rows), while
 # chunks of 2, 3, 5, 6, 7, 10, 50 or 102 rows changed some of them (both
 # models, T = 256, 5 to 201 rows; 8, 100 and the whole batch also held at
 # T = 4097 with one BLAS thread and at T = 512 with two). 40 because it is

@@ -1,10 +1,11 @@
+import itertools
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from eeglstm import BLAS_THREAD_VARS, checkpoint, harness
 from eeglstm.checkpoint import save_checkpoint
 from eeglstm.cli import main
-from eeglstm.data import SynthSpec, gen_synthetic, export_bonn_format
+from eeglstm.data import SynthSpec, gen_synthetic, export_bonn_format, standardize_dataset
 from eeglstm.layers import Model, ModelConfig, init_params
 from eeglstm.metrics import MetricsReport
+from eeglstm.optim import TrainConfig
 
 
 def run(argv):
@@ -69,6 +71,22 @@ SMALL_TRAIN = [
     "train", "--synthetic", "default", "--seq-len", "32", "--folds", "2",
     "--epochs", "2", "--seed", "3",
 ]
+TRAIN_CONFIG_KEYS = [f.name for f in fields(TrainConfig)]
+
+
+def echo_keys(printed, title):
+    """The keys of the config echo under `== title ==` in a command's stdout, in order."""
+    lines = printed.splitlines()
+    block = itertools.takewhile(lambda line: line.startswith("  "), lines[lines.index(f"== {title} ==") + 1 :])
+    return [line.split(" = ", 1)[0].strip() for line in block]
+
+
+def grid_corpus(root):
+    """Five sets named A-E (100 files each, T=16), so every pair in reproduce's grid resolves."""
+    for name, amp in {"A": 200, "B": 220, "C": 240, "D": 800, "E": 1200}.items():
+        ds = gen_synthetic(SynthSpec(2, 9, amp, 10, 64.0, 100), 16, seed=ord(name))
+        export_bonn_format(ds, root, set_names=(name, name + "_unused"))
+    return root
 
 
 class TestUsageErrors:
@@ -305,6 +323,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
 
+    def test_config_echo_keys_in_order(self, tmp_path, capsys):
+        assert run(SMALL_TRAIN + ["--out", str(tmp_path / "out")]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("== train ==\n")
+        keys = ["source", "pair", "model", "folds", "seq_len", "standardize", "out"]
+        assert echo_keys(printed, "train") == keys + TRAIN_CONFIG_KEYS
+
     def test_synthetic_run_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(SMALL_TRAIN + ["--out", str(out)])
@@ -346,6 +371,19 @@ class TestTrain:
             assert f"  {key} = {value}\n" in printed
         assert text == json.dumps(doc, indent=2) + "\n"
         assert text.startswith('{\n  "') and not text.endswith("\n\n")
+
+    def test_evaluate_standardizes_as_the_checkpoint_was_trained(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(SMALL_TRAIN + ["--standardize", "--out", str(out)]) == 0
+        capsys.readouterr()
+        # the checkpoint scores the default corpus perfectly with or without standardization, and this
+        # noisier one differently: tp 94, tn 96, auc 0.9874 standardized, against 89, 97, 0.9833 raw
+        argv = ["evaluate", "--checkpoint", str(out / "checkpoint.json"), "--synthetic", "noise=1", "--seed", "3"]
+        assert run(argv + ["--out", str(tmp_path / "ev")]) == 0
+        assert "  standardize = True\n" in capsys.readouterr().out
+        model, _ = checkpoint.load_checkpoint(out / "checkpoint.json")
+        report, _ = harness.evaluate(model, standardize_dataset(gen_synthetic(SynthSpec(noise=1.0), 32, 3)))
+        assert json.loads((tmp_path / "ev" / "metrics.json").read_text()) == asdict(report)
 
     def test_evaluate_out_that_is_a_file_fails_before_scoring(self, tmp_path, monkeypatch, capsys):
         def no_scoring(*args, **kwargs):
@@ -461,6 +499,26 @@ class TestReproduce:
         assert (out / "results.csv").read_text() in capsys.readouterr().out
         curves = [f"curves_{x}_{y}.csv" for x, y, _ in harness.TABLE_PAIRS]
         assert sorted(p.name for p in out.iterdir()) == sorted(["results.csv", "results.json", *curves])
+
+    def test_config_echo_keys_in_order(self, tmp_path, capsys):
+        argv = ["reproduce", "--data", str(grid_corpus(tmp_path / "corpus")), "--seq-len", "16"]
+        assert run(argv + ["--folds", "1", "--epochs", "1", "--standardize", "--out", str(tmp_path / "rep")]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("== reproduce ==\n")
+        keys = ["data", "folds", "seq_len", "standardize", "out"]
+        assert echo_keys(printed, "reproduce") == keys + TRAIN_CONFIG_KEYS
+
+    def test_out_that_is_a_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained although --out cannot be created")
+
+        monkeypatch.setattr(harness, "run_reproduction", no_training)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["reproduce", "--data", str(tmp_path / "corpus"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err and captured.err.count("\n") == 1
+        assert not any(line.startswith("pair") for line in captured.out.splitlines())
 
     def test_missing_set_fails_before_training(self, tmp_path, capsys):
         # a corpus of A and E only: pair A/E could train, but B is missing

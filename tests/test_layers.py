@@ -615,6 +615,18 @@ class TestScores:
             assert model.scores(x).tobytes() == model.forward(x)[0].tobytes(), n
 
     @openblas_only
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_chunks_of_a_multiple_of_4_rows_keep_the_bits(self, variant):
+        # The property SCORE_CHUNK's comment states: rows scored in runs of any multiple of 4 give the
+        # whole batch's scores. Runs of 2 or 3 rows change 4 to 13 of these 200 scores.
+        model = init_params(ModelConfig(variant=variant, seq_len=64), 5)
+        x = np.random.default_rng(5).standard_normal((200, 64))
+        want = model.scores(x).tobytes()
+        for rows in (4, 8, 16, 20, 44, 100, 200):
+            chunks = [model.forward(x[lo : lo + rows])[0] for lo in range(0, 200, rows)]
+            assert np.concatenate(chunks).tobytes() == want, rows
+
+    @openblas_only
     @pytest.mark.parametrize("variant,seed", [(1, 8), (2, 1), (2, 6)])
     def test_one_row_tail_joins_previous_chunk(self, variant, seed):
         # With these seeds the last of 41 rows, scored alone, rounds differently.

@@ -23,9 +23,10 @@ commands compute on one BLAS thread at any N. The cases, from fixed seeds:
   leave in the work directory: corpora, artifacts, and logs/NAME.log with
   the command's merged stdout and stderr and its exit code.
 
-A case's fingerprint is the SHA-256 of its bytes. The model cases read only
-the Model API and harness.evaluate, so they hold across changes of internal
-layout. A tree takes about 50 s (2 vCPU Xeon) and up to 1.5 GB.
+That makes 772 cases. A case's fingerprint is the SHA-256 of its bytes. The
+model cases read only the Model API and harness.evaluate, so they hold across
+changes of internal layout. A tree takes about 35-50 s (2 vCPU Xeon) and up
+to 1.5 GB.
 
 Exit status: 0 and "parity: identical" when every case of either tree agrees
 and every command exits 0; 1 when a case differs or exists in one tree only,
@@ -58,6 +59,9 @@ COMMANDS = {
     "train-m1": "train --synthetic default --folds 2 --epochs 2 --seed 7 --out train-m1",
     "train-m2": "train --synthetic default --model 2 --standardize --seq-len 64 --folds 2 --epochs 2 --seed 7 "
     "--out train-m2",
+    # a standardized checkpoint: evaluate standardizes its 200 recordings, 5 chunks for the scoring workers;
+    # noise=1, because on the default corpus every metric reads 1.0, standardized or not
+    "evaluate-std": "evaluate --checkpoint train-m2/checkpoint.json --synthetic noise=1 --seed 2 --out evaluate-std",
     # every synthetic key away from its default
     "train-synth-keys": "train --synthetic f0=3,f1=7,amp=2,noise=0.5,rate=50,n=20 --seq-len 48 --folds 2 "
     "--epochs 1 --seed 5 --out train-synth-keys",
