@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import write_ascii
 from .errors import CheckpointError
 from .layers import Model, ModelConfig, layout
 
@@ -21,6 +22,11 @@ FORMAT_VERSION = 1
 
 
 def save_checkpoint(path, model: Model, standardized: bool = False, provenance: dict | None = None) -> None:
+    write_ascii(path, checkpoint_text(model, standardized, provenance))
+
+
+def checkpoint_text(model: Model, standardized: bool, provenance: dict | None) -> str:
+    """The text of a checkpoint file, which load_checkpoint reads back."""
     cfg = model.config
     doc = {
         "format_version": FORMAT_VERSION,
@@ -39,7 +45,7 @@ def save_checkpoint(path, model: Model, standardized: bool = False, provenance: 
         },
     }
     # json.dumps, unlike json.dump, runs the C encoder: about half the time for the same text.
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="ascii", newline="")
+    return json.dumps(doc) + "\n"
 
 
 # The types json.load gives JSON numbers. Checks compare exact types, because

@@ -138,7 +138,7 @@ def cmd_evaluate(args, parser) -> int:
     for key, value in metrics.items():
         print(f"  {key} = {value}")
     if args.out:
-        harness.write_json(Path(args.out) / "metrics.json", metrics)
+        datamod.write_ascii(Path(args.out) / "metrics.json", harness.json_text(metrics))
         print(f"wrote {Path(args.out) / 'metrics.json'}")
     return 0
 

@@ -16,6 +16,7 @@ are the first set, rows n..2n-1 the second. Labels are given by position
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -288,6 +289,19 @@ def export_bonn_format(ds: PairDataset, out_dir, set_names):
         target.mkdir(parents=True, exist_ok=True)
         for i, row in enumerate(rows, start=1):
             lines = "\n".join(str(int(round(float(v)))) for v in row)
-            (target / f"{name}{i:03d}.txt").write_text(lines + "\n", encoding="ascii", newline="")
+            write_ascii(target / f"{name}{i:03d}.txt", lines + "\n")
         dirs.append(target)
     return tuple(dirs)
+
+
+def write_ascii(path, text: str) -> None:
+    """The one way eeglstm writes a file: `text` as ASCII, line ends as given, into a temporary file
+    beside `path` that is then renamed over it, so a crash leaves the old file or none, never part of
+    the new one. On any failure the temporary file is removed and `path` is as it was."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="ascii", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

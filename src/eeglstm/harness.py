@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREAD_VARS, checkpoint, metrics
-from .data import BONN_SEQ_LEN, SET_IDS, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset
+from .data import BONN_SEQ_LEN, SET_IDS, PairDataset, kfold_split, load_bonn_set, make_pair_dataset, standardize_dataset, write_ascii
 from .errors import EegLstmError
 from .layers import Model, ModelConfig, init_params, score_chunks
 from .optim import TrainConfig, adam_step, bce_loss
@@ -61,17 +61,23 @@ class FoldResult:
 
 @dataclass
 class ExperimentResult:
-    """Per-fold outcomes plus their arithmetic-mean aggregate for one pair."""
+    """Per-fold outcomes for one pair; the fold count, the aggregate and the curves derive from them."""
 
     pair: tuple
     variant: int
     seq_len: int
-    k: int
     seed: int
     standardized: bool
     train_config: TrainConfig
     folds: list
-    aggregate: dict
+
+    @property
+    def k(self) -> int:
+        return len(self.folds)
+
+    @property
+    def aggregate(self) -> dict:
+        return aggregate_fold_metrics(self.folds)
 
     @property
     def curves(self) -> list:
@@ -188,7 +194,7 @@ def evaluate(model: Model, data: PairDataset, threshold: float = metrics.DECISIO
     to map_in_workers with one worker per CPU in this process's affinity
     mask (taskset limits it; every CPU where the platform has no mask), so
     min(CPUs, chunks) workers score contiguous runs of chunks, each with one
-    BLAS thread and about 35 MiB of its own; one chunk or one CPU is scored
+    BLAS thread and about 34 MiB of its own; one chunk or one CPU is scored
     in this process. Fewer than 2 rows are one chunk. Each chunk goes through
     Model.scores alone, as one chunk, so the joined scores are those of one
     Model.scores call bit for bit. Returns (MetricsReport, raw scores).
@@ -330,12 +336,10 @@ def run_experiment(
         pair=data.pair,
         variant=variant,
         seq_len=data.seq_len,
-        k=k,
         seed=seed,
         standardized=data.standardized,
         train_config=tcfg,
         folds=folds,
-        aggregate=aggregate_fold_metrics(folds),
     )
 
 
@@ -384,28 +388,26 @@ def _csv_text(rows) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-def write_results_csv(path, results) -> str:
-    """Write results.csv and return its text: the header, one row per pair
-    and, with more than one pair, an `average` row of column-wise means over
-    pairs. Percentages to two decimals, AUC to four."""
+def results_csv(results) -> str:
+    """results.csv's text: the header, one row per pair and, with more than
+    one pair, an `average` row of column-wise means over pairs. Percentages
+    to two decimals, AUC to four."""
     rows = [RESULTS_HEADER, *map(results_row, results)]
     if len(results) > 1:
         means = {key: _mean_defined([r.aggregate[key] for r in results]) for key in AGGREGATE_KEYS}
         rows.append(_format_row("average", "", means))
-    text = _csv_text(rows)
-    Path(path).write_text(text, encoding="ascii", newline="")
-    return text
+    return _csv_text(rows)
 
 
-def write_curves_csv(path, curves_by_fold) -> None:
-    """CSV of per-epoch training curves, one block per fold."""
+def curves_csv(curves_by_fold) -> str:
+    """A curves CSV's text: per-epoch training curves, one block per fold."""
     rows = [CURVES_HEADER]
     for fold_index, curves in enumerate(curves_by_fold):
         rows += [
             (str(fold_index), str(rec.epoch), repr(rec.train_loss), repr(rec.val_loss), repr(rec.val_accuracy))
             for rec in curves
         ]
-    Path(path).write_text(_csv_text(rows), encoding="ascii", newline="")
+    return _csv_text(rows)
 
 
 def experiment_to_dict(result: ExperimentResult) -> dict:
@@ -432,9 +434,9 @@ def experiment_to_dict(result: ExperimentResult) -> dict:
     }
 
 
-def write_json(path, payload) -> None:
+def json_text(payload) -> str:
     """Every JSON artifact but the checkpoint: 2-space indent, one trailing newline."""
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii", newline="")
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def write_run(out, results):
@@ -446,29 +448,27 @@ def write_run(out, results):
     best validation accuracy (ties keep the lowest fold index). A grid
     (reproduce) adds curves_X_Y.csv per pair and results.json.
     """
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [out / "results.csv"]
-    table = write_results_csv(paths[0], results)
+    texts = {"results.csv": results_csv(results)}
     if len(results) > 1:
         for result in results:
-            paths.append(out / f"curves_{result.pair[0]}_{result.pair[1]}.csv")
-            write_curves_csv(paths[-1], result.curves)
-        paths.append(out / "results.json")
-        write_json(paths[-1], [experiment_to_dict(r) for r in results])
-        return table, paths
-    (result,) = results
-    paths += [out / "curves.csv", out / "result.json", out / "checkpoint.json"]
-    write_curves_csv(paths[1], result.curves)
-    write_json(paths[2], experiment_to_dict(result))
-    best = max(result.folds, key=lambda f: (f.best_val_accuracy or 0.0, -f.fold_index))
-    model = Model(ModelConfig(variant=result.variant, seq_len=result.seq_len))
-    model.params[...] = best.best_params
-    provenance = {
-        "seed": result.seed,
-        "fold_index": best.fold_index,
-        "epoch": best.best_epoch,
-        "val_accuracy": best.best_val_accuracy,
-    }
-    checkpoint.save_checkpoint(paths[3], model, standardized=result.standardized, provenance=provenance)
-    return table, paths
+            texts[f"curves_{result.pair[0]}_{result.pair[1]}.csv"] = curves_csv(result.curves)
+        texts["results.json"] = json_text([experiment_to_dict(r) for r in results])
+    else:
+        (result,) = results
+        texts["curves.csv"] = curves_csv(result.curves)
+        texts["result.json"] = json_text(experiment_to_dict(result))
+        best = max(result.folds, key=lambda f: (f.best_val_accuracy or 0.0, -f.fold_index))
+        model = Model(ModelConfig(variant=result.variant, seq_len=result.seq_len))
+        model.params[...] = best.best_params
+        provenance = {
+            "seed": result.seed,
+            "fold_index": best.fold_index,
+            "epoch": best.best_epoch,
+            "val_accuracy": best.best_val_accuracy,
+        }
+        texts["checkpoint.json"] = checkpoint.checkpoint_text(model, result.standardized, provenance)
+    Path(out).mkdir(parents=True, exist_ok=True)
+    paths = [Path(out, name) for name in texts]
+    for path, text in zip(paths, texts.values()):
+        write_ascii(path, text)
+    return texts["results.csv"], paths

@@ -16,7 +16,7 @@ from eeglstm.checkpoint import save_checkpoint
 from eeglstm.cli import main
 from eeglstm.data import SynthSpec, gen_synthetic, export_bonn_format, standardize_dataset
 from eeglstm.layers import Model, ModelConfig, init_params
-from eeglstm.metrics import MetricsReport
+from eeglstm.metrics import MetricsReport, confusion_report
 from eeglstm.optim import TrainConfig
 
 
@@ -87,6 +87,33 @@ def grid_corpus(root):
         ds = gen_synthetic(SynthSpec(2, 9, amp, 10, 64.0, 100), 16, seed=ord(name))
         export_bonn_format(ds, root, set_names=(name, name + "_unused"))
     return root
+
+
+# Each command that writes files, as the arguments before --out, given a directory for its inputs.
+WRITING_COMMANDS = {
+    "train": lambda tmp: SMALL_TRAIN,
+    "reproduce": lambda tmp: [
+        "reproduce", "--data", str(grid_corpus(tmp / "corpus")), "--seq-len", "16", "--folds", "2", "--epochs", "1"
+    ],
+    "evaluate": lambda tmp: ["evaluate", "--checkpoint", str(model1_checkpoint(tmp / "ckpt.json")), "--synthetic", "n=10"],
+    "gen-synth": lambda tmp: ["gen-synth"],
+}
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_every_file_a_command_writes_goes_through_the_writer(command, tmp_path, monkeypatch):
+    argv = WRITING_COMMANDS[command](tmp_path) + ["--out", str(tmp_path / "out")]
+    written, real_replace = [], os.replace
+
+    def record(src, dst):
+        written.append(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", record)  # data.write_ascii's last step
+    assert run(argv) == 0
+    assert written and sorted(written) == sorted(p for p in (tmp_path / "out").rglob("*") if p.is_file())
+    for text in (path.read_bytes() for path in written):
+        assert text.isascii() and b"\r" not in text and text.endswith(b"\n")
 
 
 class TestUsageErrors:
@@ -349,7 +376,7 @@ class TestTrain:
         assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
         code = run([
             "evaluate", "--checkpoint", str(out / "checkpoint.json"),
-            "--synthetic", "default", "--seed", "3",
+            "--synthetic", "noise=1", "--seed", "3",
         ])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
@@ -358,14 +385,20 @@ class TestTrain:
         out = tmp_path / "out"
         assert run(SMALL_TRAIN + ["--out", str(out)]) == 0
         capsys.readouterr()
+        # SMALL_TRAIN's checkpoint scores the default corpus perfectly, and this noisier one not (tp 79, fn 21)
         code = run([
             "evaluate", "--checkpoint", str(out / "checkpoint.json"),
-            "--synthetic", "default", "--seed", "3", "--out", str(tmp_path / "ev"),
+            "--synthetic", "noise=1", "--seed", "3", "--out", str(tmp_path / "ev"),
         ])
         assert code == 0
         printed = capsys.readouterr().out
         text = (tmp_path / "ev" / "metrics.json").read_text()
         doc = json.loads(text)
+        model, _ = checkpoint.load_checkpoint(out / "checkpoint.json")
+        data = gen_synthetic(SynthSpec(noise=1.0), 32, 3)
+        # one Model.scores call over every recording is a reference that shares no code with evaluate's chunks
+        reference = confusion_report(model.scores(data.samples), data.labels())
+        assert doc == asdict(harness.evaluate(model, data)[0]) == asdict(reference)
         assert list(doc) == [f.name for f in fields(MetricsReport)]
         for key, value in doc.items():
             assert f"  {key} = {value}\n" in printed

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eeglstm
 from eeglstm.data import (
     BONN_CODES,
     PairDataset,
@@ -14,6 +18,7 @@ from eeglstm.data import (
     load_bonn_set,
     make_pair_dataset,
     standardize_dataset,
+    write_ascii,
 )
 from eeglstm.errors import IngestionError
 
@@ -317,3 +322,54 @@ class TestExportRoundTrip:
         e = load_bonn_set(tmp_path, "E", expected_len=12)
         reread = np.concatenate([a.sequences, e.sequences])
         assert np.array_equal(reread, rounded)
+
+
+class TestWriteAscii:
+    def test_new_file_holds_the_text_with_write_texts_mode(self, tmp_path):
+        write_ascii(tmp_path / "a.csv", "x,y\n1,2\n")
+        (tmp_path / "b.csv").write_text("")
+        assert (tmp_path / "a.csv").read_bytes() == b"x,y\n1,2\n"
+        assert (tmp_path / "a.csv").stat().st_mode == (tmp_path / "b.csv").stat().st_mode
+
+    def test_failed_write_leaves_the_old_file_and_no_other(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_ascii(path, "pair\n\u00b5V\n")
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a call writes a file: write_text, write_bytes, os.replace, or
+    open, os.fdopen, Path.open and os.open with a mode or flag that writes."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+    if name in ("write_text", "write_bytes") or (on_os and name == "replace"):
+        return True
+    if on_os and name == "open":
+        flags = ast.unparse(call.args[1]) if len(call.args) > 1 else ""
+        return any(flag in flags for flag in ("O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"))
+    if name in ("open", "fdopen"):
+        # open(path, mode) and os.fdopen(fd, mode) take the mode second, Path.open(mode) first
+        positional = call.args[1:2] if isinstance(func, ast.Name) or on_os else call.args[:1]
+        modes = positional + [kw.value for kw in call.keywords if kw.arg == "mode"]
+        return any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+") for m in modes)
+    return False
+
+
+def test_write_ascii_is_the_only_function_that_writes_files():
+    writers = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _writes_a_file(node):
+            writers.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(eeglstm.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert writers == {("data", "write_ascii")}

@@ -20,14 +20,14 @@ from eeglstm.harness import (
     RESULTS_HEADER,
     FoldResult,
     aggregate_fold_metrics,
+    curves_csv,
     evaluate,
     experiment_to_dict,
     fold_train_seed,
+    results_csv,
     results_row,
     run_experiment,
     train_model,
-    write_curves_csv,
-    write_results_csv,
     write_run,
 )
 from eeglstm.layers import Model, ModelConfig, init_params
@@ -366,11 +366,8 @@ class TestArtifacts:
     def result(self):
         return run_experiment(tiny_dataset(), 1, k=2, seed=1, tcfg=TrainConfig(epochs=2, seed=0))
 
-    def test_results_csv_format(self, result, tmp_path):
-        path = tmp_path / "results.csv"
-        write_results_csv(path, [result])
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
+    def test_results_csv_format(self, result):
+        rows = list(csv.reader(results_csv([result]).splitlines()))
         assert rows[0] == list(RESULTS_HEADER)
         assert rows[1][0] == "syn0/syn1"
         assert rows[1][1] == "1"
@@ -378,19 +375,13 @@ class TestArtifacts:
         assert rows[1][2].count(".") == 1 and len(rows[1][2].split(".")[1]) == 2
         assert len(rows[1][7].split(".")[1]) == 4
 
-    def test_average_row(self, result, tmp_path):
-        path = tmp_path / "results.csv"
-        write_results_csv(path, [result, result])
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
+    def test_average_row(self, result):
+        rows = list(csv.reader(results_csv([result, result]).splitlines()))
         assert rows[-1][0] == "average"
         assert rows[-1][2] == results_row(result)[2]
 
-    def test_curves_csv_format(self, result, tmp_path):
-        path = tmp_path / "curves.csv"
-        write_curves_csv(path, result.curves)
-        with path.open() as fh:
-            rows = list(csv.reader(fh))
+    def test_curves_csv_format(self, result):
+        rows = list(csv.reader(curves_csv(result.curves).splitlines()))
         assert rows[0] == list(CURVES_HEADER)
         assert len(rows) == 1 + 2 * 2  # 2 folds x 2 epochs
         assert rows[1][0] == "0" and rows[1][1] == "1"
@@ -440,12 +431,10 @@ class TestArtifacts:
 
     def test_undefined_renders_as_na(self):
         fold = TestAggregation().make_fold(0, None, None)
-        from eeglstm.harness import ExperimentResult, aggregate_fold_metrics
+        from eeglstm.harness import ExperimentResult
 
         res = ExperimentResult(
-            pair=("a", "b"), variant=1, seq_len=8, k=1, seed=0, standardized=False,
-            train_config=TrainConfig(), folds=[fold],
-            aggregate=aggregate_fold_metrics([fold]),
+            pair=("a", "b"), variant=1, seq_len=8, seed=0, standardized=False, train_config=TrainConfig(), folds=[fold]
         )
         row = results_row(res)
         assert row[2] == "NA" and row[6] == "NA"
