@@ -218,8 +218,9 @@ def train_model(config: ModelConfig, tcfg: TrainConfig, split, data: PairDataset
     validation accuracy is retained (ties keep the earliest epoch), and that
     epoch's report is the val report; with no epochs the initialization is
     scored. A non-finite batch or validation loss stops training with an
-    EegLstmError. Each batch's forward cache is dropped once its backward has
-    run, so a step holds one batch's BPTT memory, never two.
+    EegLstmError. Model.backward frees each layer's part of the batch's forward
+    cache as it passes that layer, and the rest is dropped once it returns, so
+    a step holds one batch's BPTT memory, never two.
     """
     x_all, y_all = data.samples, data.labels()
     for name, idx in (("train", split.train), ("val", split.val)):

@@ -210,9 +210,10 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     gate gradients in a contiguous (4, batch, hidden) block and copies it
     into dz, (batch, time, 4*hidden), so that the weight-gradient products
     see rows in (batch, time) order. Beside the cache and dh_out the backward
-    holds dz, the shifted hidden states and dx: about 5*hidden + input_dim
-    floats per sample-step at its peak, plus 7*hidden floats per sample and
-    step of one block.
+    holds dz and the shifted hidden states, then dz and dx once the weight
+    gradients are formed: about max(5*hidden, 4*hidden + input_dim) floats
+    per sample-step at its peak, plus 7*hidden floats per sample and step of
+    one block.
 
     Returns (dx, (dkernel, drecurrent, dbias)).
     """
@@ -271,6 +272,7 @@ def lstm_backward(dh_out, cache: LstmLayerCache, params: LstmLayerParams):
     flat_dz = dz.reshape(batch * steps, 4 * hdim)
     dkernel = cache.x.reshape(batch * steps, -1).T @ flat_dz
     drecurrent = h_prev_all.reshape(batch * steps, hdim).T @ flat_dz
+    del h_prev_all, one_minus, tanh_c, one_minus_tanh2, dh_chunk, om, tc, dtc, dhc  # spent before dx is allocated
     dbias = flat_dz.sum(axis=0)
     dx = (flat_dz @ params.kernel.T).reshape(cache.x.shape)
     return dx, (dkernel, drecurrent, dbias)
@@ -388,7 +390,12 @@ def init_params(config: ModelConfig, seed: int) -> "Model":
 
 @dataclass
 class ModelCache:
-    """Everything the model backward pass needs from one forward pass."""
+    """Everything the model backward pass needs from one forward pass.
+
+    Model.backward uses it up: it sets each layer's entry of lstm_caches and
+    dropout_masks to None as that layer's backward starts, so a cache serves
+    one backward.
+    """
 
     lstm_caches: list = field(default_factory=list)
     dropout_masks: list = field(default_factory=list)
@@ -485,8 +492,12 @@ class Model:
         each sample's predicted probability (for a batch-mean loss, the
         per-sample derivatives divided by the batch size). Overwrites `grad`
         and returns its block views in param_arrays() order.
+
+        It uses up the cache, last layer first: a layer's cache and dropout
+        mask go once its backward starts, so no layer's backward runs beside
+        a later layer's forward memory. A spent cache raises RuntimeError.
         """
-        if not isinstance(cache, ModelCache) or cache.probs is None:
+        if not isinstance(cache, ModelCache) or cache.probs is None or None in cache.lstm_caches:
             raise RuntimeError("backward needs the cache produced by forward")
         dloss_dp = np.asarray(dloss_dp, dtype=np.float64)
         if dloss_dp.shape != cache.probs.shape:
@@ -499,10 +510,10 @@ class Model:
 
         last = len(self.lstm_layers) - 1
         for idx in range(last, -1, -1):
-            mask = cache.dropout_masks[idx]
-            if mask is not None:
-                upstream = upstream * mask
+            if cache.dropout_masks[idx] is not None:
+                upstream = upstream * cache.dropout_masks[idx]
             lcache = cache.lstm_caches[idx]
+            cache.lstm_caches[idx] = cache.dropout_masks[idx] = None  # the layers below read neither
             if idx == last:
                 steps, batch, hdim = lcache.c.shape
                 dh_out = np.zeros((batch, steps, hdim))
@@ -510,6 +521,7 @@ class Model:
             else:
                 dh_out = upstream
             upstream, grads = lstm_backward(dh_out, lcache, self.lstm_layers[idx])
+            del lcache, dh_out
             for part, grad in zip(("kernel", "recurrent", "bias"), grads):
                 g[f"lstm{idx + 1}.{part}"][...] = grad
         return list(g.values())

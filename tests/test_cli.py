@@ -415,8 +415,11 @@ class TestTrain:
         assert run(argv + ["--out", str(tmp_path / "ev")]) == 0
         assert "  standardize = True\n" in capsys.readouterr().out
         model, _ = checkpoint.load_checkpoint(out / "checkpoint.json")
-        report, _ = harness.evaluate(model, standardize_dataset(gen_synthetic(SynthSpec(noise=1.0), 32, 3)))
-        assert json.loads((tmp_path / "ev" / "metrics.json").read_text()) == asdict(report)
+        data = standardize_dataset(gen_synthetic(SynthSpec(noise=1.0), 32, 3))
+        # one Model.scores call over every standardized recording shares no code with evaluate's chunks
+        reference = confusion_report(model.scores(data.samples), data.labels())
+        doc = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+        assert doc == asdict(harness.evaluate(model, data)[0]) == asdict(reference)
 
     def test_evaluate_out_that_is_a_file_fails_before_scoring(self, tmp_path, monkeypatch, capsys):
         def no_scoring(*args, **kwargs):
